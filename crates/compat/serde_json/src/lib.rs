@@ -8,6 +8,12 @@ use serde::{Content, Deserialize, Serialize};
 
 pub use serde::Error;
 
+/// Deepest array/object nesting [`from_str`] accepts. The repository's
+/// own artifacts nest fewer than ten levels; the cap turns hostile input
+/// (say, 200k nested `[`) into an [`Error`] instead of a stack-overflow
+/// abort of the recursive-descent parser.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value (alias of the stub serde data model).
 pub type Value = Content;
 
@@ -38,12 +44,14 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 ///
 /// # Errors
 ///
-/// Returns an error on malformed JSON or when the parsed tree does not
-/// match `T`'s expected shape.
+/// Returns an error on malformed JSON, on arrays/objects nested more
+/// than 128 levels deep, or when the parsed tree does not match `T`'s
+/// expected shape.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let content = p.parse_value()?;
@@ -143,6 +151,8 @@ fn write_content(c: &Content, out: &mut String, indent: Option<usize>, depth: us
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -188,14 +198,29 @@ impl Parser<'_> {
             Some(b't') if self.eat_keyword("true") => Ok(Content::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Content::Bool(false)),
             Some(b'"') => self.parse_string().map(Content::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(Error::custom(format!(
                 "unexpected character at byte {}",
                 self.pos
             ))),
         }
+    }
+
+    /// Runs a container parser one nesting level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Content, Error>) -> Result<Content, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Content, Error> {
@@ -398,5 +423,21 @@ mod tests {
         assert!(from_str::<Content>("{").is_err());
         assert!(from_str::<Content>("12 34").is_err());
         assert!(from_str::<Content>("nul").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // Hostile input: without the depth cap this recursed once per
+        // bracket and aborted the process.
+        for open in ["[", "{\"k\":"] {
+            let text = open.repeat(200_000);
+            let err = from_str::<Content>(&text).unwrap_err();
+            assert!(err.to_string().contains("nesting"), "{open}: {err}");
+        }
+        // The cap itself still parses, one level more does not.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str::<Content>(&at_cap).is_ok());
+        let past = format!("[{at_cap}]");
+        assert!(from_str::<Content>(&past).is_err());
     }
 }

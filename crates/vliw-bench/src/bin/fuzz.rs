@@ -3,7 +3,7 @@
 //! random loop nests through the real compile→simulate path — and
 //! exits nonzero the moment any property gate fails: reply-level
 //! traffic invariants, IR/schedule/simulator checks, or a divergence
-//! between the event-queue and cycle-stepped timing engines.
+//! between the fast-forwarded simulation and its full replay.
 //!
 //! The corpus is deterministic end to end (pattern seeds are pinned in
 //! `presets()`, loop/machine seeds run 0..N), so a red run reproduces
@@ -71,15 +71,15 @@ fn main() {
         println!("fuzz: OK — every property gate passed");
     } else {
         eprintln!(
-            "fuzz: {} violation(s), {} engine mismatch(es), {} compile failure(s):",
+            "fuzz: {} violation(s), {} oracle mismatch(es), {} compile failure(s):",
             report.violations.len(),
-            report.engine_mismatches.len(),
+            report.oracle_mismatches.len(),
             report.compile_failures.len()
         );
         for v in &report.violations {
             eprintln!("  {v}");
         }
-        for m in &report.engine_mismatches {
+        for m in &report.oracle_mismatches {
             eprintln!("  {m}");
         }
         for c in &report.compile_failures {

@@ -2,7 +2,7 @@
 //!
 //! Runs a fixed mini-grid (three kernels × three variants spanning the
 //! flat fast path, a banked hierarchical network and the mesh NoC — the
-//! three arbitration structures the event engine replaced) `--reps`
+//! three arbitration paths of the interconnect) `--reps`
 //! times and reports the per-rep and median wall-clock, drawn from the
 //! [`GridResult::wall_ms`] / [`Cell::sim_micros`] telemetry the runs
 //! now carry.
@@ -47,7 +47,7 @@ use vliw_workloads::{kernels, BenchmarkSpec};
 const DEFAULT_REPS: usize = 5;
 
 /// The fixed mini-grid: small enough for seconds-scale CI, wide enough
-/// to touch every occupancy structure the event engine owns.
+/// to touch every occupancy structure the memory models own.
 fn grid() -> SweepGrid {
     let spec = BenchmarkSpec::from_kernels(
         "smoke",

@@ -106,7 +106,7 @@ pub struct Cell {
     pub flushes_removed: u64,
     /// Wall-clock microseconds the simulator spent producing this cell's
     /// shipped run — telemetry, not simulated state (`None` in artifacts
-    /// written before the event engine). Machine- and load-dependent, so
+    /// written before this field existed). Machine- and load-dependent, so
     /// [`Cell`] equality deliberately ignores it.
     pub sim_micros: Option<u64>,
     /// Loop iterations the shipped run replayed cycle-by-cycle before
@@ -372,10 +372,7 @@ mod tests {
         legacy.ffwd_replayed = None;
         legacy.ffwd_batched = None;
         assert_eq!(back, legacy, "absent keys deserialize as None");
-        assert_eq!(
-            back.sim_micros, None,
-            "pre-event-engine artifacts carry no timing"
-        );
+        assert_eq!(back.sim_micros, None, "legacy artifacts carry no timing");
         assert_eq!(legacy.link_stalls(), 0, "pre-mesh artifacts read as 0");
     }
 

@@ -6,17 +6,16 @@
 //!
 //! * **Traffic** — every [`PatternSpec`](vliw_workloads::traffic::PatternSpec)
 //!   preset × every corpus topology
-//!   × every memory model, replayed on both timing engines.
-//!   Gates: event-vs-stepped trace equality and
-//!   [`check_traffic`]'s reply-level invariants.
+//!   × every memory model.
+//!   Gate: [`check_traffic`]'s reply-level invariants.
 //! * **Loops** — seeded random loop nests on seeded random machines
 //!   through the real compile→simulate path, every architecture.
 //!   Gates: [`check_loop`]/[`check_normalization`] on the IR,
 //!   [`check_schedule`] (which re-derives `Schedule::validate`, the L0
 //!   budget, hint and coherence legality, and MII ≤ II),
-//!   [`check_sim`]'s exact stall attribution, plus event-vs-stepped
-//!   equality. Infeasible-II draws are skipped and counted; any other
-//!   compile failure gates.
+//!   [`check_sim`]'s exact stall attribution, plus equality with the
+//!   fast-forward-off replay ([`simulate_replay`]). Infeasible-II draws
+//!   are skipped and counted; any other compile failure gates.
 //!
 //! A third, report-only section showcases the adversarial corpus's
 //! point: the same loops on a contended 16-cluster mesh, compiled
@@ -25,9 +24,8 @@
 
 use serde::Serialize;
 use vliw_machine::{InterconnectConfig, MachineConfig, Topology};
-use vliw_mem::EngineKind;
 use vliw_sched::{AssignmentPolicy, CompileRequest, ScheduleError, VerifyLevel};
-use vliw_sim::{simulate_arch, simulate_reference, MemoryModelKind};
+use vliw_sim::{simulate_arch, simulate_replay, MemoryModelKind};
 use vliw_testutil::Rng;
 use vliw_verify::{
     check_loop, check_normalization, check_schedule, check_sim, check_traffic, Violation,
@@ -63,7 +61,7 @@ impl Default for FuzzConfig {
     fn default() -> Self {
         FuzzConfig {
             traffic_reqs: 256,
-            loop_seeds: 25,
+            loop_seeds: 100,
             showcase: true,
         }
     }
@@ -107,9 +105,9 @@ pub struct FuzzReport {
     pub traffic: Vec<TrafficSummary>,
     /// Every property-gate violation (empty on a green run).
     pub violations: Vec<Violation>,
-    /// Scenarios where the two timing engines disagreed (empty on a
-    /// green run).
-    pub engine_mismatches: Vec<String>,
+    /// Loop scenarios where the fast-forwarded simulation disagreed with
+    /// the full replay (empty on a green run).
+    pub oracle_mismatches: Vec<String>,
     /// Compile failures other than infeasible II (empty on a green run).
     pub compile_failures: Vec<String>,
     /// Contention-blind vs aware vs profile-guided on the contended
@@ -121,7 +119,7 @@ impl FuzzReport {
     /// `true` when every gate passed.
     pub fn is_green(&self) -> bool {
         self.violations.is_empty()
-            && self.engine_mismatches.is_empty()
+            && self.oracle_mismatches.is_empty()
             && self.compile_failures.is_empty()
     }
 }
@@ -202,14 +200,14 @@ fn model_label(kind: MemoryModelKind) -> &'static str {
 pub fn run_corpus(config: &FuzzConfig) -> FuzzReport {
     let mut traffic = Vec::new();
     let mut violations = Vec::new();
-    let mut engine_mismatches = Vec::new();
+    let mut oracle_mismatches = Vec::new();
     let mut compile_failures = Vec::new();
     let mut traffic_scenarios = 0usize;
     let mut loop_scenarios = 0usize;
     let mut compiled = 0usize;
     let mut skipped_infeasible = 0usize;
 
-    // Part 1: traffic patterns × topologies × models, both engines.
+    // Part 1: traffic patterns × topologies × models.
     let machines = corpus_machines();
     for preset in presets() {
         let spec = preset.with_reqs(config.traffic_reqs);
@@ -217,15 +215,9 @@ pub fn run_corpus(config: &FuzzConfig) -> FuzzReport {
             for kind in TRAFFIC_MODELS {
                 traffic_scenarios += 1;
                 let label = format!("{}/{}/{}", spec.name, topo, model_label(kind));
-                let mut event_model = kind.build_with_engine(cfg, EngineKind::Event);
-                let event = run_traffic(&spec, cfg, event_model.as_mut());
-                let mut stepped_model = kind.build_with_engine(cfg, EngineKind::Stepped);
-                let stepped = run_traffic(&spec, cfg, stepped_model.as_mut());
-                if event != stepped {
-                    engine_mismatches.push(format!("{label}: timing engines diverged"));
-                }
-                violations.extend(check_traffic(&label, cfg, Some(spec.kind), &event));
-                traffic.push(event.summary(spec.name, topo, model_label(kind)));
+                let trace = run_traffic(&spec, cfg, kind.build(cfg).as_mut());
+                violations.extend(check_traffic(&label, cfg, Some(spec.kind), &trace));
+                traffic.push(trace.summary(spec.name, topo, model_label(kind)));
             }
         }
     }
@@ -254,13 +246,11 @@ pub fn run_corpus(config: &FuzzConfig) -> FuzzReport {
             };
             compiled += 1;
             violations.extend(check_schedule(&request, &schedule, &cfg));
-            let event = simulate_arch(&schedule, &cfg, arch);
-            violations.extend(check_sim(&label, &event));
-            let mut stepped_model =
-                MemoryModelKind::for_arch(arch).build_with_engine(&cfg, EngineKind::Stepped);
-            let stepped = simulate_reference(&schedule, &cfg, stepped_model.as_mut());
-            if event != stepped {
-                engine_mismatches.push(format!("{label}: timing engines diverged"));
+            let result = simulate_arch(&schedule, &cfg, arch);
+            violations.extend(check_sim(&label, &result));
+            let mut model = MemoryModelKind::for_arch(arch).build(&cfg);
+            if result != simulate_replay(&schedule, &cfg, model.as_mut()) {
+                oracle_mismatches.push(format!("{label}: fast-forward diverged from replay"));
             }
         }
     }
@@ -325,7 +315,7 @@ pub fn run_corpus(config: &FuzzConfig) -> FuzzReport {
         skipped_infeasible,
         traffic,
         violations,
-        engine_mismatches,
+        oracle_mismatches,
         compile_failures,
         showcase,
     }

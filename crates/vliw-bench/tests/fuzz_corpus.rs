@@ -10,9 +10,9 @@ fn quick_corpus_is_deterministic_and_green() {
     let a = run_corpus(&cfg);
     assert_eq!(a.violations, Vec::new(), "property-gate violations");
     assert!(
-        a.engine_mismatches.is_empty(),
-        "engine mismatches: {:?}",
-        a.engine_mismatches
+        a.oracle_mismatches.is_empty(),
+        "oracle mismatches: {:?}",
+        a.oracle_mismatches
     );
     assert!(
         a.compile_failures.is_empty(),

@@ -2,7 +2,7 @@
 //! port-limited grants, distance-dependent hop latency and — on the mesh
 //! topology — per-link occupancy.
 //!
-//! [`InterconnectConfig`](vliw_machine::InterconnectConfig) describes the
+//! [`InterconnectConfig`] describes the
 //! network shape; this module owns its cycle-by-cycle behaviour. Every
 //! memory model routes refill/snoop traffic through one [`Interconnect`]:
 //!
@@ -18,13 +18,9 @@
 //!   where the caller already knows the target cluster (MultiVLIW snoop
 //!   targets, word-interleaved home modules).
 //!
-//! Occupancy state lives behind [`EngineKind`]: the default event engine
-//! keeps each bank/link/port calendar in a [`SlotWheel`] whose stale
-//! slots retire as the clock passes them (no sweeps, no per-reservation
-//! allocation), while the retained cycle-stepped reference engine keeps
-//! the original `BTreeMap` calendars pruned by [`Interconnect::retire`]
-//! once per drained cycle. The two are timing-identical (DESIGN.md §10;
-//! pinned by the randomized engine-equivalence suite).
+//! Each bank/link/port grant calendar is a [`SlotWheel`] whose stale
+//! slots retire as the clock passes them: no sweeps, no per-reservation
+//! allocation (DESIGN.md §10).
 //!
 //! Arbitration is cycle-accurate and deterministic: each bank grants at
 //! most `ports_per_bank` requests per cycle, excess requests slide to the
@@ -42,82 +38,7 @@
 //! machine bit-exact with the pre-interconnect simulator.
 
 use crate::wheel::SlotWheel;
-use crate::EngineKind;
-use std::collections::BTreeMap;
 use vliw_machine::{BankLoad, ClusterId, InterconnectConfig, LinkLoad, NetLoad, Topology};
-
-/// One resource's grant calendar (`cycle -> grants issued`), in the
-/// engine-appropriate representation: a compact [`SlotWheel`] for the
-/// event engine, the original `BTreeMap` for the cycle-stepped reference.
-#[derive(Debug, Clone)]
-enum Occupancy {
-    /// Event engine: stale slots retire lazily as the clock passes.
-    Wheel(SlotWheel),
-    /// Reference engine: pruned explicitly by [`Interconnect::retire`].
-    Calendar(BTreeMap<u64, u32>),
-}
-
-impl Occupancy {
-    fn new(engine: EngineKind) -> Self {
-        match engine {
-            EngineKind::Event => Occupancy::Wheel(SlotWheel::new(crate::REPLAY_HORIZON)),
-            EngineKind::Stepped => Occupancy::Calendar(BTreeMap::new()),
-        }
-    }
-
-    /// Grants the first cycle ≥ `from` with fewer than `cap` grants —
-    /// the shared arbitration core of banks, links and node ports.
-    fn reserve(&mut self, from: u64, cap: u32) -> u64 {
-        match self {
-            Occupancy::Wheel(w) => w.reserve(from, cap),
-            Occupancy::Calendar(slots) => {
-                let mut t = from;
-                while slots.get(&t).copied().unwrap_or(0) >= cap {
-                    t += 1;
-                }
-                *slots.entry(t).or_insert(0) += 1;
-                t
-            }
-        }
-    }
-
-    /// Drops reservations before `cutoff` (reference engine only — the
-    /// wheel retires its slots implicitly).
-    fn retire(&mut self, cutoff: u64) {
-        if let Occupancy::Calendar(slots) = self {
-            if slots
-                .first_key_value()
-                .is_some_and(|(&first, _)| first < cutoff)
-            {
-                *slots = slots.split_off(&cutoff);
-            }
-        }
-    }
-
-    /// Folds the calendar into `h`, cycles relative to `base`.
-    fn digest_into(&self, h: &mut crate::digest::Fnv, base: u64) {
-        match self {
-            Occupancy::Wheel(w) => w.digest_into(h, base),
-            Occupancy::Calendar(slots) => {
-                h.write_u64(slots.len() as u64);
-                for (&t, &c) in slots {
-                    h.write_u64(t.wrapping_sub(base));
-                    h.write_u64(c as u64);
-                }
-            }
-        }
-    }
-
-    /// Shifts every reservation forward by `delta` cycles.
-    fn advance(&mut self, delta: u64) {
-        match self {
-            Occupancy::Wheel(w) => w.advance(delta),
-            Occupancy::Calendar(slots) => {
-                *slots = slots.iter().map(|(&t, &c)| (t + delta, c)).collect();
-            }
-        }
-    }
-}
 
 /// Outcome of routing one request through the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,11 +118,10 @@ impl Traverse {
 pub struct Interconnect {
     cfg: InterconnectConfig,
     clusters: usize,
-    engine: EngineKind,
     /// Per-bank grant calendar; a cycle is full once it reaches
     /// `ports_per_bank`. Empty on the flat network (nothing is ever
     /// routed), which keeps the flat fast path allocation-free.
-    granted: Vec<Occupancy>,
+    granted: Vec<SlotWheel>,
     /// Side length of the flat link index: the mesh grid's full node
     /// space `rows × cols` (XY routes pass through grid nodes beyond
     /// `clusters - 1` when the grid is not exactly square). 0 off the
@@ -209,23 +129,17 @@ pub struct Interconnect {
     link_dim: usize,
     /// Per-directed-link grant calendar (mesh only), indexed flat as
     /// `from * link_dim + to`; a cycle is full once it reaches
-    /// `link_capacity`. Calendar state allocates lazily per touched
-    /// link, but the index itself is a plain array lookup — links sit on
-    /// the per-hop fast path, where a hashed map probe measurably
-    /// dominated mesh routing.
-    links: Vec<Option<Occupancy>>,
-    /// Indices into `links` that have been touched, in first-touch
-    /// order — [`Interconnect::retire`] sweeps only these, like the
-    /// lazily-populated map it replaced (the stepped engine retires
-    /// once per drained slot, so sweeping the full `links` vector
-    /// would charge it for every never-used link).
-    touched_links: Vec<u32>,
+    /// `link_capacity`. Wheels allocate lazily per touched link, but
+    /// the index itself is a plain array lookup — links sit on the
+    /// per-hop fast path, where a hashed map probe measurably dominated
+    /// mesh routing.
+    links: Vec<Option<SlotWheel>>,
     /// Per-node port pools for cluster-directed mesh traffic: each mesh
     /// node's co-located structure (a MultiVLIW bank, a word-interleaved
     /// home module) arbitrates its own `ports_per_bank` ports, so
     /// physically distant nodes never alias into one pool. Empty off the
     /// mesh (the other topologies keep their bank/tile pools).
-    cluster_ports: Vec<Occupancy>,
+    cluster_ports: Vec<SlotWheel>,
     /// Cumulative per-directed-link `(traversals, stall cycles)` — the
     /// profiling counters behind [`Interconnect::network_load`], indexed
     /// like `links`.
@@ -235,15 +149,8 @@ pub struct Interconnect {
 }
 
 impl Interconnect {
-    /// Builds the network for a machine with `clusters` clusters on the
-    /// default (event) engine.
+    /// Builds the network for a machine with `clusters` clusters.
     pub fn new(clusters: usize, cfg: InterconnectConfig) -> Self {
-        Self::with_engine(clusters, cfg, EngineKind::Event)
-    }
-
-    /// Builds the network on an explicit timing engine (the cycle-stepped
-    /// reference engine exists for the equivalence suite).
-    pub fn with_engine(clusters: usize, cfg: InterconnectConfig, engine: EngineKind) -> Self {
         let banks = if cfg.is_flat() { 0 } else { cfg.banks };
         let nodes = if cfg.topology == Topology::Mesh {
             clusters
@@ -259,15 +166,19 @@ impl Interconnect {
         Interconnect {
             cfg,
             clusters,
-            engine,
-            granted: (0..banks).map(|_| Occupancy::new(engine)).collect(),
+            granted: (0..banks).map(|_| Self::wheel()).collect(),
             link_dim,
             links: vec![None; link_dim * link_dim],
-            touched_links: Vec::new(),
-            cluster_ports: (0..nodes).map(|_| Occupancy::new(engine)).collect(),
+            cluster_ports: (0..nodes).map(|_| Self::wheel()).collect(),
             link_load: vec![(0, 0); link_dim * link_dim],
             bank_load: vec![(0, 0); banks],
         }
+    }
+
+    /// One resource's grant calendar: banks, links and node ports all
+    /// keep reservations observable for the full replay window.
+    fn wheel() -> SlotWheel {
+        SlotWheel::new(crate::REPLAY_HORIZON)
     }
 
     /// Snapshot of the cumulative per-link / per-bank load this network
@@ -462,15 +373,10 @@ impl Interconnect {
     /// use, with the link's flit capacity in place of the port count).
     fn reserve_link(&mut self, link: (usize, usize), t: u64) -> u64 {
         let capacity = self.cfg.link_capacity.max(1) as u32;
-        let engine = self.engine;
         let idx = link.0 * self.link_dim + link.1;
-        let grant = match &mut self.links[idx] {
-            Some(occ) => occ.reserve(t, capacity),
-            slot @ None => {
-                self.touched_links.push(idx as u32);
-                slot.insert(Occupancy::new(engine)).reserve(t, capacity)
-            }
-        };
+        let grant = self.links[idx]
+            .get_or_insert_with(Self::wheel)
+            .reserve(t, capacity);
         let load = &mut self.link_load[idx];
         load.0 += 1;
         load.1 += grant - t;
@@ -577,38 +483,12 @@ impl Interconnect {
         route
     }
 
-    /// Retires arbitration state the clock has left behind: reservations
-    /// more than [`REPLAY_HORIZON`](crate::REPLAY_HORIZON) cycles before
-    /// `cycle` can no longer influence any replayed request (the
-    /// simulator replays overlapped iterations slightly out of global
-    /// cycle order, so the horizon is generous) and are dropped.
-    ///
-    /// On the event engine this is a no-op — the wheels retire their
-    /// slots implicitly as reservations pass them — so the housekeeping
-    /// calendar may drive it at any cadence. The cycle-stepped reference
-    /// engine calls it once per drained cycle, which is exactly the
-    /// original `tick` discipline.
-    pub fn retire(&mut self, cycle: u64) {
-        let cutoff = cycle.saturating_sub(crate::REPLAY_HORIZON);
-        for slots in &mut self.granted {
-            slots.retire(cutoff);
-        }
-        for &idx in &self.touched_links {
-            if let Some(slots) = &mut self.links[idx as usize] {
-                slots.retire(cutoff);
-            }
-        }
-        for slots in &mut self.cluster_ports {
-            slots.retire(cutoff);
-        }
-    }
-
     /// Folds the network's arbitration state into `h`, cycles relative
     /// to `base` (DESIGN.md §14). The cumulative `link_load`/`bank_load`
     /// profiling counters are deliberately excluded: they are monotonic
     /// observables, never consulted by arbitration, and the fast-forward
     /// runner batches them by delta instead. A lazily-allocated link
-    /// calendar digests differently from a never-touched one even when
+    /// wheel digests differently from a never-touched one even when
     /// both are empty — that can only delay detection (allocation state
     /// stabilizes after warm-up), never corrupt it.
     pub(crate) fn digest_into(&self, h: &mut crate::digest::Fnv, base: u64) {
@@ -749,50 +629,6 @@ mod tests {
         ic.route(c(0), 0, 50);
         let early = ic.route(c(1), 0, 10);
         assert_eq!(early.queue_cycles, 0, "cycle 11 slot is still free");
-    }
-
-    #[test]
-    fn retire_prunes_but_preserves_recent_window() {
-        let mut ic =
-            Interconnect::with_engine(4, InterconnectConfig::crossbar(1, 1), EngineKind::Stepped);
-        ic.route(c(0), 0, 10);
-        ic.retire(10_000);
-        let r = ic.route(c(1), 0, 10);
-        assert_eq!(
-            r.queue_cycles, 0,
-            "pruned slot no longer blocks (request is stale anyway)"
-        );
-        // recent reservations survive retirement
-        ic.route(c(0), 0, 10_000);
-        ic.retire(10_001);
-        assert_eq!(ic.route(c(1), 0, 10_000).queue_cycles, 1);
-    }
-
-    #[test]
-    fn event_and_stepped_engines_grant_identically() {
-        // Same request stream, same timing — regardless of whether the
-        // calendars are wheels or horizon-pruned maps, and regardless of
-        // whether retire() is driven per cycle (the stepped cadence) or
-        // never (the wheels need no sweeps).
-        for cfg in [
-            InterconnectConfig::crossbar(2, 1),
-            InterconnectConfig::hierarchical(4, 1, 4),
-            InterconnectConfig::mesh(4, 1),
-        ] {
-            let mut event = Interconnect::new(16, cfg);
-            let mut stepped = Interconnect::with_engine(16, cfg, EngineKind::Stepped);
-            for i in 0..256u64 {
-                let cl = c((i % 16) as usize);
-                let cycle = i / 2 + (i % 5) * 3;
-                stepped.retire(cycle);
-                let a = event.route(cl, i * 8, cycle);
-                let b = stepped.route(cl, i * 8, cycle);
-                assert_eq!(a, b, "request {i} on {cfg:?}");
-                let ta = event.route_to_cluster(cl, (i as usize * 7) % 16, cycle);
-                let tb = stepped.route_to_cluster(cl, (i as usize * 7) % 16, cycle);
-                assert_eq!(ta, tb, "cluster route {i} on {cfg:?}");
-            }
-        }
     }
 
     #[test]
@@ -937,22 +773,9 @@ mod tests {
     }
 
     #[test]
-    fn mesh_retire_prunes_link_state() {
-        let mut ic =
-            Interconnect::with_engine(16, InterconnectConfig::mesh(4, 4), EngineKind::Stepped);
-        ic.route_to_cluster(c(0), 1, 10);
-        ic.retire(10_000);
-        assert_eq!(
-            ic.route_to_cluster(c(0), 1, 10).link_stall_cycles,
-            0,
-            "stale link reservations are dropped"
-        );
-    }
-
-    #[test]
-    fn event_engine_retires_stale_link_state_without_sweeps() {
-        // The wheel analogue of the pruning test: a reservation far in
-        // the past silently vanishes once the clock laps the ring.
+    fn stale_link_state_retires_without_sweeps() {
+        // A reservation far in the past silently vanishes once the clock
+        // laps the link's wheel.
         let mut ic = Interconnect::new(16, InterconnectConfig::mesh(4, 4));
         ic.route_to_cluster(c(0), 1, 10);
         assert_eq!(

@@ -14,7 +14,7 @@ use crate::interconnect::Interconnect;
 use crate::mshr::MshrFile;
 use crate::request::{MemReply, MemRequest, ReqKind, ServicedBy};
 use crate::stats::MemStats;
-use crate::{EngineKind, MemoryModel};
+use crate::MemoryModel;
 use vliw_machine::{ClusterId, InterconnectConfig, MachineConfig, WordInterleavedConfig};
 
 /// One attraction-buffer entry: a remotely-mapped word.
@@ -154,17 +154,6 @@ impl WordInterleavedMem {
         )
     }
 
-    /// Builds the word-interleaved memory on an explicit timing engine
-    /// (the stepped variant exists for the engine-equivalence suite).
-    pub fn with_engine(machine: &MachineConfig, engine: EngineKind) -> Self {
-        Self::with_network_engine(
-            machine.clusters,
-            WordInterleavedConfig::micro2003(),
-            machine.interconnect,
-            engine,
-        )
-    }
-
     /// Builds with explicit parameters on the paper's flat network.
     pub fn with_config(clusters: usize, cfg: WordInterleavedConfig) -> Self {
         Self::with_network(clusters, cfg, InterconnectConfig::flat())
@@ -178,16 +167,6 @@ impl WordInterleavedMem {
         clusters: usize,
         cfg: WordInterleavedConfig,
         net: InterconnectConfig,
-    ) -> Self {
-        Self::with_network_engine(clusters, cfg, net, EngineKind::default())
-    }
-
-    /// [`Self::with_network`] on an explicit timing engine.
-    pub fn with_network_engine(
-        clusters: usize,
-        cfg: WordInterleavedConfig,
-        net: InterconnectConfig,
-        engine: EngineKind,
     ) -> Self {
         WordInterleavedMem {
             cfg,
@@ -204,7 +183,7 @@ impl WordInterleavedMem {
             attraction: (0..clusters)
                 .map(|_| AttractionBuffer::new(cfg.attraction_entries, cfg.word_bytes as u64))
                 .collect(),
-            ic: Interconnect::with_engine(clusters, net, engine),
+            ic: Interconnect::new(clusters, net),
             mshr: MshrFile::new(clusters, net.mshr_entries),
             stats: MemStats::for_network(&net),
         }
@@ -403,7 +382,6 @@ impl MemoryModel for WordInterleavedMem {
     }
 
     fn retire(&mut self, cycle: u64) {
-        self.ic.retire(cycle);
         self.mshr.retire(cycle);
     }
 

@@ -73,28 +73,11 @@ use vliw_machine::ClusterId;
 
 /// How far behind the current drain cycle arbitration/MSHR state is kept
 /// alive. The simulator replays overlapped loop iterations slightly out
-/// of global cycle order, so [`Interconnect::retire`],
-/// [`MshrFile::retire`](mshr::MshrFile::retire) and the event engine's
-/// [`SlotWheel`] judge staleness against the same generous window — one
-/// constant so the structures can never disagree about what "too old to
-/// matter" means.
+/// of global cycle order, so [`MshrFile::retire`](mshr::MshrFile::retire)
+/// and the interconnect's [`SlotWheel`]s judge staleness against the same
+/// generous window — one constant so the structures can never disagree
+/// about what "too old to matter" means.
 pub const REPLAY_HORIZON: u64 = 4096;
-
-/// Which timing engine a memory model's arbitration state runs on.
-///
-/// The two engines are timing-identical (DESIGN.md §10; pinned by the
-/// randomized engine-equivalence suite) — the reference exists so that
-/// equivalence stays a *checked* property rather than an assumption.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EngineKind {
-    /// The default event engine: occupancy wheels that retire stale
-    /// state as the clock passes it, no per-cycle sweeps.
-    #[default]
-    Event,
-    /// The retained cycle-stepped reference: `BTreeMap` calendars pruned
-    /// by [`MemoryModel::retire`] once per drained cycle.
-    Stepped,
-}
 
 /// A cycle-level memory system.
 ///
@@ -110,13 +93,12 @@ pub trait MemoryModel {
     /// per-cluster buffers.
     fn invalidate_buffers(&mut self, _cluster: ClusterId, _cycle: u64) {}
 
-    /// Retires arbitration/MSHR state that can no longer influence any
-    /// replayed request (everything more than [`REPLAY_HORIZON`] cycles
-    /// before `cycle`). Replaces the old per-slot `tick` plumbing: the
-    /// event runner drives it sparsely from its housekeeping calendar
-    /// (retirement is timing-invisible, so any cadence is correct), and
-    /// the cycle-stepped reference runner drives it once per drained
-    /// cycle. Models without prunable state ignore it.
+    /// Retires MSHR state that can no longer influence any replayed
+    /// request (everything more than [`REPLAY_HORIZON`] cycles before
+    /// `cycle`). The runner drives it sparsely, about once per
+    /// [`REPLAY_HORIZON`] cycles; retirement is timing-invisible, so the
+    /// cadence does not affect results. Models without prunable state
+    /// ignore it.
     fn retire(&mut self, _cycle: u64) {}
 
     /// Statistics accumulated so far.

@@ -137,14 +137,13 @@ impl MshrFile {
         }
     }
 
-    /// Drops registers whose refill completed long enough ago that no
-    /// replayed request can still land inside their window (the shared
-    /// [`REPLAY_HORIZON`](crate::REPLAY_HORIZON) discipline of
-    /// [`Interconnect::retire`](crate::Interconnect::retire)). Pruning
-    /// is timing-invisible — stale windows match no probe and never
-    /// count as busy — so the event runner's housekeeping calendar may
-    /// drive this at any cadence; it exists purely to bound the file's
-    /// memory on long simulations.
+    /// Drops registers whose refill completed more than
+    /// [`REPLAY_HORIZON`](crate::REPLAY_HORIZON) cycles before `cycle`,
+    /// so no replayed request can still land inside their window.
+    /// Pruning is timing-invisible — stale windows match no probe and
+    /// never count as busy — so the runner may drive this at any
+    /// cadence; it exists purely to bound the file's memory on long
+    /// simulations.
     pub fn retire(&mut self, cycle: u64) {
         let cutoff = cycle.saturating_sub(crate::REPLAY_HORIZON);
         for bank in &mut self.banks {
@@ -219,5 +218,66 @@ mod tests {
         assert!(m.register(0, 0x200, 10_000, 10_020));
         m.retire(10_001);
         assert_eq!(m.lookup(0, 0x200, 10_010), Some(10_020), "live entry kept");
+    }
+
+    #[test]
+    fn retire_cadence_is_timing_invisible() {
+        // The same lookup/register stream against three files: retired
+        // at the drain clock before every access, retired once per
+        // REPLAY_HORIZON cycles (the runner's cadence), and never. While
+        // replay skew stays under the horizon, every reply and every
+        // live-state digest must agree.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let digest = |m: &MshrFile, base: u64| {
+            let mut h = crate::digest::Fnv::new();
+            m.digest_into(&mut h, base);
+            h.finish()
+        };
+        let horizon = crate::REPLAY_HORIZON;
+        let mut every = MshrFile::new(4, 4);
+        let mut sparse = MshrFile::new(4, 4);
+        let mut never = MshrFile::new(4, 4);
+        let mut next_retire = horizon;
+        let mut clock = 0u64;
+        for _ in 0..20_000 {
+            clock += next() % 7;
+            every.retire(clock);
+            if clock >= next_retire {
+                sparse.retire(clock);
+                next_retire = clock + horizon;
+            }
+            let bank = (next() % 4) as usize;
+            // a hot set that merges, plus a cold tail that goes stale
+            let block = if next() % 2 == 0 {
+                next() % 48
+            } else {
+                48 + next() % 4096
+            } * 64;
+            // replay skew: requests up to ~300 cycles behind the clock
+            let cycle = clock.saturating_sub(next() % 300);
+            let want = never.lookup(bank, block, cycle);
+            assert_eq!(every.lookup(bank, block, cycle), want, "lookup at {cycle}");
+            assert_eq!(sparse.lookup(bank, block, cycle), want, "lookup at {cycle}");
+            if want.is_none() {
+                let ready = cycle + 10 + next() % 200;
+                let tracked = never.register(bank, block, cycle, ready);
+                assert_eq!(every.register(bank, block, cycle, ready), tracked);
+                assert_eq!(sparse.register(bank, block, cycle, ready), tracked);
+            }
+        }
+        let base = clock.saturating_sub(300);
+        assert_eq!(digest(&every, base), digest(&never, base));
+        assert_eq!(digest(&sparse, base), digest(&never, base));
+        let held = |m: &MshrFile| m.banks.iter().map(Vec::len).sum::<usize>();
+        assert!(
+            held(&every) < held(&never),
+            "retirement must actually prune something for the check to bite"
+        );
     }
 }

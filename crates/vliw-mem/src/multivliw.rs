@@ -14,7 +14,7 @@ use crate::interconnect::Interconnect;
 use crate::mshr::MshrFile;
 use crate::request::{MemReply, MemRequest, ReqKind, ServicedBy};
 use crate::stats::MemStats;
-use crate::{EngineKind, MemoryModel};
+use crate::MemoryModel;
 use vliw_machine::{InterconnectConfig, MachineConfig, MultiVliwConfig};
 
 /// MSI protocol states (Invalid = not resident).
@@ -58,17 +58,6 @@ impl MultiVliwMem {
         )
     }
 
-    /// Builds the MultiVLIW memory on an explicit timing engine (the
-    /// stepped variant exists for the engine-equivalence suite).
-    pub fn with_engine(machine: &MachineConfig, engine: EngineKind) -> Self {
-        Self::with_network_engine(
-            machine.clusters,
-            MultiVliwConfig::micro2003(),
-            machine.interconnect,
-            engine,
-        )
-    }
-
     /// Builds with explicit parameters on the paper's flat network.
     pub fn with_config(clusters: usize, cfg: MultiVliwConfig) -> Self {
         Self::with_network(clusters, cfg, InterconnectConfig::flat())
@@ -79,22 +68,12 @@ impl MultiVliwMem {
     /// co-located with its cluster) and queues on the target tile's bank
     /// port.
     pub fn with_network(clusters: usize, cfg: MultiVliwConfig, net: InterconnectConfig) -> Self {
-        Self::with_network_engine(clusters, cfg, net, EngineKind::default())
-    }
-
-    /// [`Self::with_network`] on an explicit timing engine.
-    pub fn with_network_engine(
-        clusters: usize,
-        cfg: MultiVliwConfig,
-        net: InterconnectConfig,
-        engine: EngineKind,
-    ) -> Self {
         MultiVliwMem {
             cfg,
             banks: (0..clusters)
                 .map(|_| SetAssocCache::new(cfg.bank_bytes, cfg.block_bytes, cfg.associativity))
                 .collect(),
-            ic: Interconnect::with_engine(clusters, net, engine),
+            ic: Interconnect::new(clusters, net),
             mshr: MshrFile::new(clusters, net.mshr_entries),
             stats: MemStats::for_network(&net),
         }
@@ -301,7 +280,6 @@ impl MemoryModel for MultiVliwMem {
     }
 
     fn retire(&mut self, cycle: u64) {
-        self.ic.retire(cycle);
         self.mshr.retire(cycle);
     }
 

@@ -8,7 +8,7 @@ use crate::mshr::MshrFile;
 use crate::request::{MemReply, MemRequest, ReqKind, ServicedBy};
 use crate::stats::MemStats;
 use crate::wheel::SlotWheel;
-use crate::{EngineKind, MemoryModel};
+use crate::MemoryModel;
 use vliw_machine::{AccessHint, ClusterId, MachineConfig, MappingHint, PrefetchHint};
 
 /// Outcome of one trip through the shared unified-L1 path.
@@ -45,17 +45,12 @@ struct L1Stack {
 }
 
 impl L1Stack {
-    fn new(cfg: &MachineConfig, engine: EngineKind) -> Self {
+    fn new(cfg: &MachineConfig) -> Self {
         L1Stack {
             l1: SetAssocCache::new(cfg.l1.size_bytes, cfg.l1.block_bytes, cfg.l1.associativity),
-            ic: Interconnect::with_engine(cfg.clusters, cfg.interconnect, engine),
+            ic: Interconnect::new(cfg.clusters, cfg.interconnect),
             mshr: MshrFile::for_config(&cfg.interconnect),
         }
-    }
-
-    fn retire(&mut self, cycle: u64) {
-        self.ic.retire(cycle);
-        self.mshr.retire(cycle);
     }
 
     /// Routes to the bank owning `addr`, probes the unified L1
@@ -159,88 +154,28 @@ impl L1Stack {
 /// not be penalized by a later-cycled one that was merely *processed*
 /// first.
 ///
-/// Each bus keeps its reservations on the engine's structure of choice:
-/// an occupancy [`SlotWheel`] on the event engine (stale slots retire as
-/// the clock passes them, no prune sweeps), or the reference `BTreeSet`
-/// with its periodic `split_off` prune on the stepped engine. Both judge
-/// staleness against the same 512-cycle window, so the engines grant the
-/// same start cycle for the same request sequence.
-#[derive(Debug, Clone)]
-enum BusSlots {
-    Wheel(SlotWheel),
-    Set(std::collections::BTreeSet<u64>),
-}
-
-impl BusSlots {
-    /// Folds the reservations into `h` relative to `base`.
-    ///
-    /// The wheel digests only live slots; the set digests everything it
-    /// still holds — stale reservations are consulted by `acquire`'s
-    /// `contains` scan until the periodic prune drops them, so they are
-    /// genuinely part of the stepped engine's observable state.
-    fn digest_into(&self, h: &mut crate::digest::Fnv, base: u64) {
-        match self {
-            BusSlots::Wheel(wheel) => wheel.digest_into(h, base),
-            BusSlots::Set(slots) => {
-                h.write_u64(slots.len() as u64);
-                for &t in slots {
-                    h.write_u64(t.wrapping_sub(base));
-                }
-            }
-        }
-    }
-
-    /// Shifts every reservation forward by `delta` cycles.
-    fn advance(&mut self, delta: u64) {
-        match self {
-            BusSlots::Wheel(wheel) => wheel.advance(delta),
-            BusSlots::Set(slots) => {
-                *slots = slots.iter().map(|&t| t + delta).collect();
-            }
-        }
-    }
-}
-
+/// Each bus keeps its reservations in an occupancy [`SlotWheel`] at
+/// capacity 1: stale slots retire as the clock passes them, no prune
+/// sweeps.
 #[derive(Debug, Clone)]
 struct ClusterBuses {
-    reserved: Vec<BusSlots>,
+    reserved: Vec<SlotWheel>,
 }
 
-/// How far behind the newest bus grant a reservation is kept alive —
-/// the prune cutoff the stepped reference has always used.
+/// How far behind the newest bus grant a reservation is kept alive.
 const BUS_HORIZON: u64 = 512;
 
 impl ClusterBuses {
-    fn new(n: usize, engine: EngineKind) -> Self {
-        let slots = match engine {
-            EngineKind::Event => BusSlots::Wheel(SlotWheel::new(BUS_HORIZON)),
-            EngineKind::Stepped => BusSlots::Set(std::collections::BTreeSet::new()),
-        };
+    fn new(n: usize) -> Self {
         ClusterBuses {
-            reserved: vec![slots; n],
+            reserved: vec![SlotWheel::new(BUS_HORIZON); n],
         }
     }
 
     /// Acquires the bus of `cluster` at the first free cycle ≥ `cycle`;
     /// returns the actual start cycle.
     fn acquire(&mut self, cluster: ClusterId, cycle: u64) -> u64 {
-        match &mut self.reserved[cluster.index()] {
-            BusSlots::Wheel(wheel) => wheel.reserve(cycle, 1),
-            BusSlots::Set(slots) => {
-                let mut start = cycle;
-                while slots.contains(&start) {
-                    start += 1;
-                }
-                slots.insert(start);
-                // prune slots far in the past so the set stays small
-                if slots.len() > 256 {
-                    let horizon = start.saturating_sub(BUS_HORIZON);
-                    let keep = slots.split_off(&horizon);
-                    *slots = keep;
-                }
-                start
-            }
-        }
+        self.reserved[cluster.index()].reserve(cycle, 1)
     }
 
     /// Folds every cluster's bus reservations into `h` relative to `base`.
@@ -274,18 +209,12 @@ pub struct UnifiedL1 {
 
 impl UnifiedL1 {
     /// Creates the baseline memory system for `cfg` (any L0 configuration
-    /// in `cfg` is ignored), on the default event engine.
+    /// in `cfg` is ignored).
     pub fn new(cfg: &MachineConfig) -> Self {
-        Self::with_engine(cfg, EngineKind::default())
-    }
-
-    /// Creates the baseline memory system on an explicit timing engine
-    /// (the stepped variant exists for the engine-equivalence suite).
-    pub fn with_engine(cfg: &MachineConfig, engine: EngineKind) -> Self {
         UnifiedL1 {
             cfg: cfg.clone(),
-            stack: L1Stack::new(cfg, engine),
-            buses: ClusterBuses::new(cfg.clusters, engine),
+            stack: L1Stack::new(cfg),
+            buses: ClusterBuses::new(cfg.clusters),
             stats: MemStats::for_network(&cfg.interconnect),
         }
     }
@@ -324,7 +253,7 @@ impl MemoryModel for UnifiedL1 {
     }
 
     fn retire(&mut self, cycle: u64) {
-        self.stack.retire(cycle);
+        self.stack.mshr.retire(cycle);
     }
 
     fn stats(&self) -> &MemStats {
@@ -374,16 +303,6 @@ impl UnifiedWithL0 {
     ///
     /// Panics if `cfg` has no L0 configuration.
     pub fn new(cfg: &MachineConfig) -> Self {
-        Self::with_engine(cfg, EngineKind::default())
-    }
-
-    /// Creates the L0-buffer memory system on an explicit timing engine
-    /// (the stepped variant exists for the engine-equivalence suite).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` has no L0 configuration.
-    pub fn with_engine(cfg: &MachineConfig, engine: EngineKind) -> Self {
         let l0cfg = cfg.l0.expect("UnifiedWithL0 requires an L0 configuration");
         let sb = cfg.subblock_bytes() as u64;
         let bb = cfg.l1.block_bytes as u64;
@@ -392,8 +311,8 @@ impl UnifiedWithL0 {
             l0: (0..cfg.clusters)
                 .map(|_| L0Buffer::new(l0cfg.entries, sb, bb, cfg.clusters))
                 .collect(),
-            stack: L1Stack::new(cfg, engine),
-            buses: ClusterBuses::new(cfg.clusters, engine),
+            stack: L1Stack::new(cfg),
+            buses: ClusterBuses::new(cfg.clusters),
             stats: MemStats::for_network(&cfg.interconnect),
         }
     }
@@ -678,7 +597,7 @@ impl MemoryModel for UnifiedWithL0 {
     }
 
     fn retire(&mut self, cycle: u64) {
-        self.stack.retire(cycle);
+        self.stack.mshr.retire(cycle);
     }
 
     fn stats(&self) -> &MemStats {

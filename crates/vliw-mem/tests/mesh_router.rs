@@ -129,7 +129,6 @@ fn deterministic_under_round_robin_rotation() {
                 let r = ic.route(c(src), (src as u64) * 8, iter * 3);
                 out.push((r.bank_start, r.queue_cycles, r.link_stall_cycles));
             }
-            ic.retire(iter * 3);
         }
         out
     };

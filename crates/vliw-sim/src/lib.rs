@@ -39,14 +39,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod compat;
 pub mod model;
 pub mod result;
 pub mod runner;
-pub mod timeq;
 
+pub use compat::{simulate_with, EngineKind};
 pub use model::{simulate_arch, MemoryModelKind};
 pub use result::{FfwdStats, OpStall, SimResult};
-pub use runner::{simulate, simulate_reference, simulate_with};
-pub use timeq::TimeQueue;
-pub use vliw_mem::EngineKind;
+pub use runner::{simulate, simulate_replay};
 pub use vliw_sched::Arch;

@@ -10,9 +10,7 @@ use crate::result::SimResult;
 use crate::runner::simulate;
 use serde::{Deserialize, Serialize};
 use vliw_machine::MachineConfig;
-use vliw_mem::{
-    EngineKind, MemoryModel, MultiVliwMem, UnifiedL1, UnifiedWithL0, WordInterleavedMem,
-};
+use vliw_mem::{MemoryModel, MultiVliwMem, UnifiedL1, UnifiedWithL0, WordInterleavedMem};
 use vliw_sched::{Arch, Schedule};
 
 /// The memory hierarchy a simulation runs against.
@@ -39,38 +37,18 @@ impl MemoryModelKind {
         }
     }
 
-    /// Builds a fresh model for one simulation, on the default event
-    /// engine.
+    /// Builds a fresh model for one simulation.
     ///
     /// # Panics
     ///
     /// Panics for [`MemoryModelKind::UnifiedL0`] when `cfg` has no L0
     /// configuration.
     pub fn build(&self, cfg: &MachineConfig) -> Box<dyn MemoryModel> {
-        self.build_with_engine(cfg, EngineKind::default())
-    }
-
-    /// Builds a fresh model on an explicit timing engine. Pair
-    /// [`EngineKind::Stepped`] models with
-    /// [`simulate_reference`](crate::runner::simulate_reference) — the
-    /// combination reproduces the pre-event-engine simulator exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`MemoryModelKind::UnifiedL0`] when `cfg` has no L0
-    /// configuration.
-    pub fn build_with_engine(
-        &self,
-        cfg: &MachineConfig,
-        engine: EngineKind,
-    ) -> Box<dyn MemoryModel> {
         match self {
-            MemoryModelKind::Unified => Box::new(UnifiedL1::with_engine(cfg, engine)),
-            MemoryModelKind::UnifiedL0 => Box::new(UnifiedWithL0::with_engine(cfg, engine)),
-            MemoryModelKind::MultiVliw => Box::new(MultiVliwMem::with_engine(cfg, engine)),
-            MemoryModelKind::WordInterleaved => {
-                Box::new(WordInterleavedMem::with_engine(cfg, engine))
-            }
+            MemoryModelKind::Unified => Box::new(UnifiedL1::new(cfg)),
+            MemoryModelKind::UnifiedL0 => Box::new(UnifiedWithL0::new(cfg)),
+            MemoryModelKind::MultiVliw => Box::new(MultiVliwMem::new(cfg)),
+            MemoryModelKind::WordInterleaved => Box::new(WordInterleavedMem::new(cfg)),
         }
     }
 }

@@ -1,31 +1,27 @@
-//! The execution loop: one core drain loop, two timing engines, and a
-//! steady-state fast-forward.
+//! The execution loop: one drain loop plus a steady-state fast-forward.
 //!
-//! [`simulate`] runs the event engine — arbitration state lives on
-//! occupancy wheels that retire as the clock passes them, and the only
-//! periodic work is a sparse housekeeping event on a [`TimeQueue`]
-//! calendar. [`simulate_reference`] runs the retained cycle-stepped
-//! reference — `BTreeMap`/`BTreeSet` arbitration state swept by
-//! [`MemoryModel::retire`] once per drained issue slot, the original
-//! tick discipline verbatim. The two are timing-identical (DESIGN.md
-//! §10), which the randomized engine-equivalence suite pins.
+//! Arbitration state lives on occupancy wheels inside the memory models,
+//! which retire stale reservations as the clock passes them, so the loop
+//! does no per-cycle sweeps. Its only periodic work is
+//! [`MemoryModel::retire`], fired whenever the drain clock reaches a
+//! `next_retire` cycle: one comparison per issue slot, a retire roughly
+//! every [`REPLAY_HORIZON`] cycles.
 //!
-//! On top of either engine, the runner detects *periodic steady state*
+//! On top of the replay, the runner detects *periodic steady state*
 //! (DESIGN.md §14): when the model's translation-invariant
 //! [`state_digest`](MemoryModel::state_digest) recurs at loop
 //! boundaries with matching per-period result deltas, the remaining
 //! whole periods are accounted in closed form — counters multiplied in,
 //! the model's clock advanced by [`advance_clock`](MemoryModel::advance_clock)
 //! — and replay resumes for the residue. The batching is bit-exact;
-//! [`simulate_reference`] keeps it off so every equivalence suite pins
-//! fast-forward-on against fast-forward-off.
+//! [`simulate_replay`] keeps it off, and the equivalence suites pin
+//! fast-forward-on against it.
 
 use crate::result::{OpStall, SimResult};
-use crate::timeq::TimeQueue;
 use std::ops::Range;
 use vliw_ir::{AddressStream, OpId};
 use vliw_machine::{ClusterId, MachineConfig, NetLoad};
-use vliw_mem::{EngineKind, MemRequest, MemStats, MemoryModel, ReqKind, REPLAY_HORIZON};
+use vliw_mem::{MemRequest, MemStats, MemoryModel, ReqKind, REPLAY_HORIZON};
 use vliw_sched::Schedule;
 
 /// One per-iteration memory event, precomputed from the schedule.
@@ -362,21 +358,22 @@ fn iteration_stride(events: &[Event], slots: &[Range<usize>], flat: bool) -> Opt
 // Entry points
 // ---------------------------------------------------------------------
 
-/// Simulates `schedule` against `model` on the event engine, with the
-/// steady-state fast-forward enabled.
+/// Simulates `schedule` against `model` with the steady-state
+/// fast-forward enabled.
 ///
 /// Each iteration's events form a pending-request queue drained one issue
 /// slot at a time. On a contended (non-flat) network the service order
 /// within a slot rotates round-robin with the iteration index, so no
 /// cluster is structurally first at every bank arbitration; on the flat
 /// network the order is fixed and the loop is bit-exact with the original
-/// fixed-delay runner. Model housekeeping ([`MemoryModel::retire`]) rides
-/// a sparse [`TimeQueue`] calendar — one O(1) peek per slot, a retire
-/// roughly every [`REPLAY_HORIZON`] cycles — instead of a per-slot sweep;
-/// retirement is timing-invisible, so the cadence does not affect results.
+/// fixed-delay runner. Model housekeeping ([`MemoryModel::retire`]) runs
+/// roughly every [`REPLAY_HORIZON`] cycles; retirement is
+/// timing-invisible, so the cadence does not affect results.
 ///
-/// The model must be built on [`EngineKind::Event`] (the default of every
-/// model constructor).
+/// The fast-forward only takes effect when the model opts in via
+/// [`MemoryModel::supports_fast_forward`], and never changes the
+/// [`SimResult`] — only how much of it is replayed vs batched
+/// ([`SimResult::ffwd`]).
 ///
 /// Returns the compute/stall split — with stalls attributed per op and
 /// the interconnect-queueing share split out — and the memory statistics
@@ -386,47 +383,25 @@ pub fn simulate(
     cfg: &MachineConfig,
     model: &mut dyn MemoryModel,
 ) -> SimResult {
-    run(schedule, cfg, model, EngineKind::Event, true)
+    run(schedule, cfg, model, true)
 }
 
-/// Simulates `schedule` against `model` on the cycle-stepped reference
-/// cadence: [`MemoryModel::retire`] fires once per drained issue slot,
-/// the pre-event-engine tick discipline verbatim, and the steady-state
-/// fast-forward stays **off** — this path replays every iteration, so
-/// every suite that compares it against [`simulate`] transitively pins
-/// the fast-forward's bit-exactness. Pair it with a model built on
-/// [`EngineKind::Stepped`].
-pub fn simulate_reference(
+/// [`simulate`] with the steady-state fast-forward **off**: every
+/// iteration is replayed. This is the oracle the fast-forward is checked
+/// against — any suite comparing the two pins the batching's
+/// bit-exactness.
+pub fn simulate_replay(
     schedule: &Schedule,
     cfg: &MachineConfig,
     model: &mut dyn MemoryModel,
 ) -> SimResult {
-    run(schedule, cfg, model, EngineKind::Stepped, false)
+    run(schedule, cfg, model, false)
 }
 
-/// Simulates `schedule` against `model` with the timing engine and the
-/// steady-state fast-forward chosen explicitly. [`simulate`] is
-/// `(Event, true)`; [`simulate_reference`] is `(Stepped, false)`; the
-/// other two pairings exist for the fast-forward equivalence suite.
-/// `ffwd` only takes effect when the model opts in via
-/// [`MemoryModel::supports_fast_forward`], and never changes the
-/// [`SimResult`] — only how much of it is replayed vs batched
-/// ([`SimResult::ffwd`]).
-pub fn simulate_with(
+pub(crate) fn run(
     schedule: &Schedule,
     cfg: &MachineConfig,
     model: &mut dyn MemoryModel,
-    engine: EngineKind,
-    ffwd: bool,
-) -> SimResult {
-    run(schedule, cfg, model, engine, ffwd)
-}
-
-fn run(
-    schedule: &Schedule,
-    cfg: &MachineConfig,
-    model: &mut dyn MemoryModel,
-    engine: EngineKind,
     ffwd: bool,
 ) -> SimResult {
     let (events, slots) = build_events(schedule);
@@ -470,12 +445,9 @@ fn run(
         ));
     }
 
-    // The event engine's housekeeping calendar: a single self-renewing
-    // retire event, so the hot loop pays one peek per slot.
-    let mut housekeeping: TimeQueue<()> = TimeQueue::new();
-    if engine == EngineKind::Event {
-        housekeeping.schedule(REPLAY_HORIZON, ());
-    }
+    // Model housekeeping: the drain cycle at which the next retire is
+    // due, so the hot loop pays one comparison per slot.
+    let mut next_retire = REPLAY_HORIZON;
 
     let mut visit: u64 = 0;
     while visit < visits {
@@ -502,14 +474,9 @@ fn run(
             for range in &slots {
                 let slot = &events[range.clone()];
                 let slot_clock = (iter_base as i64 + slot[0].t) as u64 + slip;
-                match engine {
-                    EngineKind::Event => {
-                        while housekeeping.pop_due(slot_clock).is_some() {
-                            model.retire(slot_clock);
-                            housekeeping.schedule(slot_clock + REPLAY_HORIZON, ());
-                        }
-                    }
-                    EngineKind::Stepped => model.retire(slot_clock),
+                if slot_clock >= next_retire {
+                    model.retire(slot_clock);
+                    next_retire = slot_clock + REPLAY_HORIZON;
                 }
                 let rotation = if flat {
                     0
@@ -847,22 +814,18 @@ mod tests {
 
     // -- steady-state fast-forward ------------------------------------
 
-    /// Runs (ffwd on, ffwd off) on the same engine and returns both
-    /// results plus the schedule's dynamic iteration count — in
-    /// *post-unroll* iterations, the unit the runner (and its ffwd
-    /// telemetry) counts in.
+    /// Runs (ffwd on, ffwd off) and returns both results plus the
+    /// schedule's dynamic iteration count — in *post-unroll* iterations,
+    /// the unit the runner (and its ffwd telemetry) counts in.
     fn ffwd_pair(
         l: &vliw_ir::LoopNest,
         c: &MachineConfig,
         arch: Arch,
-        engine: EngineKind,
     ) -> (SimResult, SimResult, u64, u64) {
         let s = compile(l, c, arch);
         let kind = MemoryModelKind::for_arch(arch);
-        let mut m_on = kind.build_with_engine(c, engine);
-        let on = simulate_with(&s, c, m_on.as_mut(), engine, true);
-        let mut m_off = kind.build_with_engine(c, engine);
-        let off = simulate_with(&s, c, m_off.as_mut(), engine, false);
+        let on = simulate(&s, c, kind.build(c).as_mut());
+        let off = simulate_replay(&s, c, kind.build(c).as_mut());
         let trip = s.loop_.trip_count.max(1);
         (on, off, trip, s.loop_.visits)
     }
@@ -879,7 +842,7 @@ mod tests {
             .elementwise(2)
             .build();
         for arch in Arch::ALL {
-            let (on, off, trip, visits) = ffwd_pair(&l, &cfg(), arch, EngineKind::Event);
+            let (on, off, trip, visits) = ffwd_pair(&l, &cfg(), arch);
             assert_eq!(on, off, "{arch}: batched result must equal replay");
             assert_eq!(off.ffwd.iters_batched, 0, "{arch}: knob off means replay");
             assert_eq!(off.ffwd.iters_replayed, trip * visits);
@@ -911,7 +874,7 @@ mod tests {
         b.alu(vliw_ir::OpKind::IntAlu, &[v]);
         let l = b.build();
         for arch in Arch::ALL {
-            let (on, off, trip, visits) = ffwd_pair(&l, &cfg(), arch, EngineKind::Event);
+            let (on, off, trip, visits) = ffwd_pair(&l, &cfg(), arch);
             assert_eq!(on, off, "{arch}");
             assert!(
                 on.ffwd.iters_batched > 0,
@@ -932,7 +895,7 @@ mod tests {
             .irregular(4, 65536)
             .build();
         for arch in [Arch::Baseline, Arch::L0] {
-            let (on, off, trip, _) = ffwd_pair(&l, &cfg(), arch, EngineKind::Event);
+            let (on, off, trip, _) = ffwd_pair(&l, &cfg(), arch);
             assert_eq!(on, off, "{arch}");
             // irregular addresses repeat *per visit* (the iteration
             // counter resets), so visit-level batching is still legal
@@ -942,20 +905,6 @@ mod tests {
                 0,
                 "{arch}: only whole visits may batch for irregular streams"
             );
-        }
-    }
-
-    #[test]
-    fn stepped_engine_honors_the_knob_too() {
-        let l = LoopBuilder::new("ew")
-            .trip_count(48)
-            .visits(10)
-            .elementwise(2)
-            .build();
-        for arch in Arch::ALL {
-            let (on, off, _, _) = ffwd_pair(&l, &cfg(), arch, EngineKind::Stepped);
-            assert_eq!(on, off, "{arch}");
-            assert_eq!(off.ffwd.iters_batched, 0);
         }
     }
 }

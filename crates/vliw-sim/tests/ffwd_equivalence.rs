@@ -1,65 +1,47 @@
-//! The steady-state fast-forward's bit-exactness gate: with the knob on
-//! ([`simulate_with`]'s `ffwd`), batching whole periods in closed form
-//! must produce the *identical* [`vliw_sim::SimResult`] a full replay
-//! produces — on both timing engines, for every architecture, across
-//! the same machine corpus the engine-equivalence gate draws from, the
-//! fuzz quick corpus, and the workloads behind all three golden sweeps.
-//!
-//! Together with `engine_equivalence.rs` this closes the 2×2 square of
-//! (engine, ffwd) pairings: any single divergent corner would split one
-//! of the two suites. Correctness never depends on detection *firing*
-//! (an irregular stream simply replays), so these tests assert equality
+//! The steady-state fast-forward's bit-exactness gate: batching whole
+//! periods in closed form ([`simulate`]) must produce the *identical*
+//! [`vliw_sim::SimResult`] a full replay ([`simulate_replay`]) produces
+//! — for every architecture, across random loop nests on random
+//! machines, the fuzz quick corpus, and the workloads behind all three
+//! golden sweeps. Correctness never depends on detection *firing* (an
+//! irregular stream simply replays), so these tests assert equality
 //! everywhere and ffwd activity only on the workloads engineered to
 //! settle.
 
 use vliw_ir::LoopNest;
 use vliw_machine::{InterconnectConfig, L0Capacity, MachineConfig};
 use vliw_sched::{Arch, L0Options};
-use vliw_sim::{simulate_with, EngineKind, MemoryModelKind};
+use vliw_sim::{simulate, simulate_replay, MemoryModelKind};
 use vliw_testutil::{cases, Rng};
 use vliw_workloads::fuzz::{random_loop, random_machine};
 use vliw_workloads::{kernels, mediabench_suite};
 
-/// Simulates one compiled schedule under all four (engine, ffwd)
-/// pairings and asserts they are a single result. Returns the batched
-/// iteration count of the (Event, on) corner so callers can additionally
-/// pin that detection fired.
+/// Simulates one compiled schedule with the fast-forward on and off and
+/// asserts they are a single result. Returns the batched iteration count
+/// of the fast-forwarded run so callers can additionally pin that
+/// detection fired.
 fn assert_ffwd_invisible(label: &str, l: &LoopNest, cfg: &MachineConfig, arch: Arch) -> u64 {
     let Ok(s) = arch.compile(l, cfg, L0Options::default()) else {
         return 0; // infeasible on this machine; nothing to compare
     };
-    let mut batched = 0;
-    let mut reference = None;
-    for engine in [EngineKind::Event, EngineKind::Stepped] {
-        for ffwd in [false, true] {
-            let mut m = MemoryModelKind::for_arch(arch).build_with_engine(cfg, engine);
-            let r = simulate_with(&s, cfg, m.as_mut(), engine, ffwd);
-            if !ffwd {
-                assert_eq!(
-                    r.ffwd.iters_batched, 0,
-                    "{label}/{arch}: ffwd off must replay everything"
-                );
-            }
-            if engine == EngineKind::Event && ffwd {
-                batched = r.ffwd.iters_batched;
-            }
-            match &reference {
-                None => reference = Some(r),
-                Some(want) => assert_eq!(
-                    want, &r,
-                    "{label}/{arch}: ({engine:?}, ffwd={ffwd}) diverged from (Event, off)"
-                ),
-            }
-        }
-    }
-    batched
+    let kind = MemoryModelKind::for_arch(arch);
+    let replayed = simulate_replay(&s, cfg, kind.build(cfg).as_mut());
+    assert_eq!(
+        replayed.ffwd.iters_batched, 0,
+        "{label}/{arch}: ffwd off must replay everything"
+    );
+    let batched = simulate(&s, cfg, kind.build(cfg).as_mut());
+    assert_eq!(
+        replayed, batched,
+        "{label}/{arch}: fast-forward diverged from the full replay"
+    );
+    batched.ffwd.iters_batched
 }
 
 #[test]
 fn ffwd_toggle_is_invisible_on_random_cases() {
-    // The engine-equivalence corpus shapes: random loop nests (incl.
-    // irregular streams that never settle) on random machines across
-    // every topology and MSHR depth.
+    // Random loop nests (incl. irregular streams that never settle) on
+    // random machines across every topology and MSHR depth.
     cases(24, |case, rng| {
         let l = random_loop(rng);
         let cfg = random_machine(rng);

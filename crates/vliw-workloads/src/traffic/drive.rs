@@ -8,9 +8,9 @@ use super::patterns::{chain_salt, chain_step, PatternKind, PatternSpec};
 use vliw_machine::{ClusterId, MemHints};
 
 /// The full trace of one pattern replay: every request, every reply,
-/// and the model's final statistics. `PartialEq` is the engine-
-/// equivalence gate — two runs of the same spec on the two timing
-/// engines must compare equal down to the last reply field.
+/// and the model's final statistics. `PartialEq` compares down to the
+/// last reply field, so two runs of the same spec are checkably
+/// identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficRun {
     /// The generated stream, in issue order.
@@ -125,9 +125,8 @@ pub struct TrafficSummary {
 /// Replays `spec`'s stream against `model` and captures the trace.
 ///
 /// Retirement is driven from the stream's own clock (the running
-/// maximum issue cycle), the same sparse, timing-invisible cadence the
-/// event runner uses — so the identical call sequence is legal for both
-/// engine kinds and the traces are directly comparable.
+/// maximum issue cycle). Retirement is timing-invisible, so this cadence
+/// yields the same replies as the simulator's sparser one.
 pub fn run_traffic(
     spec: &PatternSpec,
     cfg: &MachineConfig,
@@ -162,9 +161,8 @@ pub fn run_traffic(
 /// issue-cycle order (ties by cluster index), so the stream stays
 /// nondecreasing — the same retire cadence contract the open-loop
 /// patterns obey — and the whole trace remains a deterministic function
-/// of (spec, machine, model): identical timing engines produce
-/// identical traces, which keeps the engine-equivalence gate meaningful
-/// for a timing-fed stream. Chain hops are always loads (`store_pct`
+/// of (spec, machine, model), even though the stream is fed by the
+/// model's own timing. Chain hops are always loads (`store_pct`
 /// does not apply — a store carries no pointer to follow).
 fn run_chain(
     spec: &PatternSpec,
@@ -262,7 +260,7 @@ mod tests {
             }
             last_ready.insert(req.cluster.index(), rep.ready_at);
         }
-        // The interleaved stream still obeys the engines' nondecreasing
+        // The interleaved stream still obeys the nondecreasing
         // issue-cycle contract.
         for w in run.requests.windows(2) {
             assert!(w[1].cycle >= w[0].cycle, "issue cycles ran backwards");

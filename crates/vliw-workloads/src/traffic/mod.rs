@@ -6,9 +6,9 @@
 //! module generates adversarial streams the scheduler would never emit
 //! (hot-bank pile-ups, bursty arrivals, pointer chases) and replays
 //! them against any [`MemoryModel`](vliw_mem::MemoryModel) on any
-//! interconnect topology, so the contention, MSHR and engine-
-//! equivalence machinery faces traffic shaped by an adversary rather
-//! than by a modulo scheduler. The systolic-style compute/memory mixes
+//! interconnect topology, so the contention, MSHR and occupancy-wheel
+//! machinery faces traffic shaped by an adversary rather than by a
+//! modulo scheduler. The systolic-style compute/memory mixes
 //! follow the access shapes of hybrid systolic shared-L1 clusters
 //! (Mazzola et al. — see PAPERS.md).
 //!

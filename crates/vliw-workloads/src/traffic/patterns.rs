@@ -150,8 +150,8 @@ impl PatternSpec {
     /// Generates the request stream for `cfg`'s machine.
     ///
     /// Issue cycles are nondecreasing except for the systolic jitter,
-    /// which stays far inside the replay horizon, so the stream is
-    /// legal input for both timing engines.
+    /// which stays far inside the replay horizon, so every reservation
+    /// a later request can collide with is still observable.
     pub fn requests(&self, cfg: &MachineConfig) -> Vec<MemRequest> {
         let mut rng = Rng::new(self.seed);
         let n = cfg.clusters.max(1);
