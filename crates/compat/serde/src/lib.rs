@@ -4,6 +4,24 @@
 //! through a small JSON-shaped [`Content`] tree. The public surface the
 //! workspace relies on is identical: the `Serialize` / `Deserialize`
 //! traits and the derive macros of the same names.
+//!
+//! The derives honor no `#[serde(..)]` attribute, so one is a compile
+//! error rather than silently ignored:
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! struct Telemetry {
+//!     #[serde(rename = "us")]
+//!     micros: u64,
+//! }
+//! ```
+//!
+//! ```
+//! #[derive(serde::Deserialize)]
+//! struct Telemetry {
+//!     micros: u64,
+//! }
+//! ```
 
 pub use serde_derive::{Deserialize, Serialize};
 

@@ -9,23 +9,17 @@
 //! `syn`/`quote` — those are unavailable offline). Supported shapes are
 //! exactly what this workspace uses: non-generic structs (named, tuple,
 //! unit) and non-generic enums with unit, tuple and struct variants.
-//! Of serde's field/container attributes exactly one is honored —
-//! `#[serde(default)]` on a named field, which deserializes a missing
-//! field to `Default::default()` — all others are ignored.
+//! No `#[serde(..)]` attribute is supported: the derives do not register
+//! `serde` as a helper attribute, so one is a compile error rather than
+//! silently ignored.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-/// One named field: its identifier plus whether `#[serde(default)]`
-/// marks it optional on deserialization.
-struct Field {
-    name: String,
-    default: bool,
-}
 
 enum Fields {
     Unit,
     Tuple(usize),
-    Named(Vec<Field>),
+    /// Field names, in declaration order.
+    Named(Vec<String>),
 }
 
 enum Data {
@@ -109,49 +103,13 @@ fn strip_attrs_and_vis(tokens: &[TokenTree]) -> &[TokenTree] {
     }
 }
 
-/// `true` when the chunk's leading attributes include `#[serde(default)]`
-/// (possibly alongside other serde arguments, which are ignored).
-fn has_serde_default(tokens: &[TokenTree]) -> bool {
-    let mut i = 0;
-    while let (Some(TokenTree::Punct(p)), Some(attr)) = (tokens.get(i), tokens.get(i + 1)) {
-        if p.as_char() != '#' {
-            break;
-        }
-        if let TokenTree::Group(g) = attr {
-            let toks: Vec<TokenTree> = g.stream().into_iter().collect();
-            let is_serde =
-                matches!(toks.first(), Some(TokenTree::Ident(id)) if id.to_string() == "serde");
-            if is_serde {
-                if let Some(TokenTree::Group(args)) = toks.get(1) {
-                    let has_default = args
-                        .stream()
-                        .into_iter()
-                        .any(|t| matches!(&t, TokenTree::Ident(id) if id.to_string() == "default"));
-                    if has_default {
-                        return true;
-                    }
-                }
-            }
-        }
-        i += 2;
-    }
-    false
-}
-
-fn parse_named_fields(body: TokenStream) -> Vec<Field> {
+fn parse_named_fields(body: TokenStream) -> Vec<String> {
     split_top_level(body.into_iter().collect())
         .into_iter()
         .filter(|chunk| !chunk.is_empty())
-        .map(|chunk| {
-            let default = has_serde_default(&chunk);
-            let chunk = strip_attrs_and_vis(&chunk);
-            match chunk.first() {
-                Some(TokenTree::Ident(id)) => Field {
-                    name: id.to_string(),
-                    default,
-                },
-                other => panic!("serde stub derive: expected field name, got {other:?}"),
-            }
+        .map(|chunk| match strip_attrs_and_vis(&chunk).first() {
+            Some(TokenTree::Ident(id)) => id.to_string(),
+            other => panic!("serde stub derive: expected field name, got {other:?}"),
         })
         .collect()
 }
@@ -281,10 +239,7 @@ fn gen_serialize_fields(owner: &str, fields: &Fields) -> String {
             let items: Vec<String> = fields
                 .iter()
                 .map(|f| {
-                    format!(
-                        "(String::from(\"{f}\"), serde::Serialize::to_content(&self.{f}))",
-                        f = f.name
-                    )
+                    format!("(String::from(\"{f}\"), serde::Serialize::to_content(&self.{f}))")
                 })
                 .collect();
             let _ = owner;
@@ -324,14 +279,10 @@ fn derive_serialize_impl(input: &Input) -> String {
                         let items: Vec<String> = fields
                             .iter()
                             .map(|f| {
-                                format!(
-                                    "(String::from(\"{f}\"), serde::Serialize::to_content({f}))",
-                                    f = f.name
-                                )
+                                format!("(String::from(\"{f}\"), serde::Serialize::to_content({f}))")
                             })
                             .collect();
-                        let binds: Vec<&str> =
-                            fields.iter().map(|f| f.name.as_str()).collect();
+                        let binds: Vec<&str> = fields.iter().map(String::as_str).collect();
                         format!(
                             "{name}::{v} {{ {binds} }} => serde::Content::Map(vec![(String::from(\"{v}\"), serde::Content::Map(vec![{items}]))]),",
                             binds = binds.join(", "),
@@ -351,29 +302,14 @@ fn derive_serialize_impl(input: &Input) -> String {
     )
 }
 
-fn gen_deserialize_named(owner: &str, path: &str, fields: &[Field], src: &str) -> String {
+fn gen_deserialize_named(owner: &str, path: &str, fields: &[String], src: &str) -> String {
     let inits: Vec<String> = fields
         .iter()
         .map(|f| {
-            if f.default {
-                // `#[serde(default)]`: a field absent from the map (the
-                // stub's `field` returns Null for those) falls back to
-                // `Default::default()` instead of erroring.
-                format!(
-                    "{f}: match serde::field({src}, \"{f}\") {{\n\
-                         serde::Content::Null => Default::default(),\n\
-                         v => serde::Deserialize::from_content(v)\
-                              .map_err(|e| e.context(\"{owner}.{f}\"))?,\n\
-                     }}",
-                    f = f.name
-                )
-            } else {
-                format!(
-                    "{f}: serde::Deserialize::from_content(serde::field({src}, \"{f}\"))\
-                     .map_err(|e| e.context(\"{owner}.{f}\"))?",
-                    f = f.name
-                )
-            }
+            format!(
+                "{f}: serde::Deserialize::from_content(serde::field({src}, \"{f}\"))\
+                 .map_err(|e| e.context(\"{owner}.{f}\"))?"
+            )
         })
         .collect();
     format!("{path} {{ {} }}", inits.join(", "))
@@ -485,7 +421,7 @@ fn derive_deserialize_impl(input: &Input) -> String {
 }
 
 /// Derives the stub `serde::Serialize` for a non-generic struct or enum.
-#[proc_macro_derive(Serialize, attributes(serde))]
+#[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let parsed = parse_input(input);
     derive_serialize_impl(&parsed)
@@ -494,7 +430,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derives the stub `serde::Deserialize` for a non-generic struct or enum.
-#[proc_macro_derive(Deserialize, attributes(serde))]
+#[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let parsed = parse_input(input);
     derive_deserialize_impl(&parsed)

@@ -83,10 +83,10 @@ fn grid() -> SweepGrid {
 }
 
 /// One rep: the grid's own wall-clock telemetry, plus the result for
-/// the artifact. Falls back to 0 only if telemetry were ever disabled.
+/// the artifact.
 fn rep() -> (u64, GridResult) {
     let result = grid().run();
-    (result.wall_ms.unwrap_or(0), result)
+    (result.wall_ms, result)
 }
 
 /// Requests per service-smoke rep (small: seconds-scale CI).
@@ -167,11 +167,7 @@ fn main() {
     let mut runs: Vec<(u64, GridResult)> = (0..reps).map(|_| rep()).collect();
     runs.sort_by_key(|(wall, _)| *wall);
     let (median_wall, median_run) = &runs[reps / 2];
-    let sim_micros: u64 = median_run
-        .cells
-        .iter()
-        .map(|c| c.sim_micros.unwrap_or(0))
-        .sum();
+    let sim_micros: u64 = median_run.cells.iter().map(|c| c.sim_micros).sum();
 
     println!("perf smoke: {} cells x {reps} reps", median_run.cells.len());
     println!(
@@ -182,9 +178,7 @@ fn main() {
     for cell in &median_run.cells {
         println!(
             "  {:>6}: normalized {:>6.3}  sim {:>6} us",
-            cell.variant,
-            cell.normalized,
-            cell.sim_micros.unwrap_or(0)
+            cell.variant, cell.normalized, cell.sim_micros
         );
     }
 
@@ -194,10 +188,7 @@ fn main() {
 
     if args.has_flag("--require-ffwd") {
         let (replayed, batched) = median_run.cells.iter().fold((0u64, 0u64), |(r, b), c| {
-            (
-                r + c.ffwd_replayed.unwrap_or(0),
-                b + c.ffwd_batched.unwrap_or(0),
-            )
+            (r + c.ffwd_replayed, b + c.ffwd_batched)
         });
         println!("  ffwd: {replayed} iterations replayed, {batched} batched");
         if batched == 0 {

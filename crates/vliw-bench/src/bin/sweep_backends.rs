@@ -51,16 +51,15 @@ fn main() {
         "benchmark", "variant", "normalized", "avg II", "avg MII", "gap", "unroll", "proofs o/t/h"
     );
     for cell in &result.cells {
-        let mii = cell.avg_mii.unwrap_or(0.0);
-        let proof = cell.proof.unwrap_or_default();
+        let proof = cell.proof;
         println!(
             "{:>10} {:>11} {:>11.3} {:>8.2} {:>8.2} {:>7.2} {:>8.2} {:>17}",
             cell.benchmark,
             cell.variant,
             cell.normalized,
             cell.avg_ii,
-            mii,
-            cell.avg_ii - mii,
+            cell.avg_mii,
+            cell.avg_ii - cell.avg_mii,
             cell.avg_unroll,
             format!("{}/{}/{}", proof.optimal, proof.truncated, proof.heuristic),
         );
@@ -74,8 +73,8 @@ fn main() {
         for b in 0..result.benchmarks.len() {
             let sms = result.cell(b, sms_col);
             let exact = result.cell(b, exact_col);
-            sms_gap += sms.avg_ii - sms.avg_mii.unwrap_or(0.0);
-            exact_gap += exact.avg_ii - exact.avg_mii.unwrap_or(0.0);
+            sms_gap += sms.avg_ii - sms.avg_mii;
+            exact_gap += exact.avg_ii - exact.avg_mii;
         }
         let n = result.benchmarks.len() as f64;
         println!(

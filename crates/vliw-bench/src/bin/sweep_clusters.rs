@@ -146,7 +146,7 @@ fn main() {
             cell.total_cycles,
             cell.normalized,
             cell.contention_stall_cycles,
-            cell.link_stalls(),
+            cell.link_stall_cycles,
             cell.mem.ic_queue_cycles,
             cell.mem.merges(),
         );

@@ -115,14 +115,14 @@ fn main() {
             cell.total_cycles,
             cell.normalized,
             cell.contention_stall_cycles,
-            cell.link_stalls(),
+            cell.link_stall_cycles,
             cell.mem.ic_queue_cycles,
             cell.mem.merges(),
         );
     }
     println!(
         "\nprofiling passes: {} (memoized across {} pgo cells)",
-        result.profiles_computed.unwrap_or(0),
+        result.profiles_computed,
         result
             .cells
             .iter()

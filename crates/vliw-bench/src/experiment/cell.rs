@@ -66,9 +66,8 @@ pub struct Cell {
     /// the cluster-scaling study's contention signal).
     pub contention_stall_cycles: u64,
     /// Of `stall_cycles`, the cycles traceable to saturated mesh links —
-    /// disjoint from `contention_stall_cycles` (`None` in artifacts
-    /// written before the mesh existed; treat as 0).
-    pub link_stall_cycles: Option<u64>,
+    /// disjoint from `contention_stall_cycles` (0 off the mesh).
+    pub link_stall_cycles: u64,
     /// Total cycles of the memoized baseline this cell normalizes to.
     pub baseline_total_cycles: u64,
     /// `total_cycles / baseline_total_cycles` — the paper's normalized
@@ -85,41 +84,34 @@ pub struct Cell {
     /// benchmark's loops.
     pub avg_ii: f64,
     /// Dynamic-weighted average MII across the benchmark's loops — the
-    /// floor `avg_ii` is measured against (`None` in artifacts written
-    /// before the backend axis existed).
-    pub avg_mii: Option<f64>,
-    /// Scheduler backend that compiled the cell (`None` in pre-backend
-    /// artifacts, which were always SMS).
-    pub backend: Option<BackendKind>,
-    /// Resolved L0 compile options (`None` in pre-backend artifacts).
-    pub opts: Option<L0Options>,
-    /// Unroll-selection policy the cell compiled under (`None` in
-    /// pre-backend artifacts, which were always `Auto`).
-    pub unroll_policy: Option<UnrollPolicy>,
-    /// Cluster-assignment policy the cell compiled under (`None` in
-    /// pre-mesh artifacts, which were always distance-blind).
-    pub assignment: Option<AssignmentPolicy>,
-    /// Per-loop II proof tallies (`None` in pre-backend artifacts).
-    pub proof: Option<ProofCounts>,
+    /// floor `avg_ii` is measured against.
+    pub avg_mii: f64,
+    /// Scheduler backend that compiled the cell.
+    pub backend: BackendKind,
+    /// Resolved L0 compile options.
+    pub opts: L0Options,
+    /// Unroll-selection policy the cell compiled under.
+    pub unroll_policy: UnrollPolicy,
+    /// Cluster-assignment policy the cell compiled under.
+    pub assignment: AssignmentPolicy,
+    /// Per-loop II proof tallies.
+    pub proof: ProofCounts,
     /// `invalidate_buffer` executions removed by selective inter-loop
     /// flushing (0 unless the variant enables it).
     pub flushes_removed: u64,
     /// Wall-clock microseconds the simulator spent producing this cell's
-    /// shipped run — telemetry, not simulated state (`None` in artifacts
-    /// written before this field existed). Machine- and load-dependent, so
-    /// [`Cell`] equality deliberately ignores it.
-    pub sim_micros: Option<u64>,
+    /// shipped run — telemetry, not simulated state. Machine- and
+    /// load-dependent, so [`Cell`] equality deliberately ignores it.
+    pub sim_micros: u64,
     /// Loop iterations the shipped run replayed cycle-by-cycle before
     /// (or instead of) fast-forwarding — telemetry about *how* the
     /// simulator produced the cell, not simulated state, so equality
-    /// ignores it like `sim_micros` (`None` in artifacts written before
-    /// steady-state fast-forward existed).
-    pub ffwd_replayed: Option<u64>,
+    /// ignores it like `sim_micros`.
+    pub ffwd_replayed: u64,
     /// Loop iterations the shipped run batched in closed form after
     /// periodic-steady-state detection (0 when fast-forward never
-    /// fired; `None` in pre-fast-forward artifacts). Same telemetry
-    /// status as [`Cell::ffwd_replayed`].
-    pub ffwd_batched: Option<u64>,
+    /// fired). Same telemetry status as [`Cell::ffwd_replayed`].
+    pub ffwd_batched: u64,
     /// Merged memory-system counters of the loop portion.
     pub mem: MemStats,
 }
@@ -201,12 +193,6 @@ impl Cell {
         self.mem.interleaved_ratio()
     }
 
-    /// Link-stall share of the stall cycles, with the pre-mesh `None`
-    /// read as 0.
-    pub fn link_stalls(&self) -> u64 {
-        self.link_stall_cycles.unwrap_or(0)
-    }
-
     /// Port-queueing contention stalls per *miss event* — the per-miss
     /// queueing cost the mesh/MSHR acceptance pins compare across
     /// topologies. The denominator sums the L0- and L1-level miss
@@ -217,7 +203,7 @@ impl Cell {
     /// ratio with the raw `contention_stall_cycles` ordering rather
     /// than relying on it alone. (Link stalls are a separate axis: the
     /// mesh trades a little link occupancy for far less port queueing,
-    /// and [`Cell::link_stalls`] reports them on their own.) 0 when
+    /// and [`Cell::link_stall_cycles`] reports them on their own.) 0 when
     /// nothing missed.
     pub fn contention_per_miss(&self) -> f64 {
         let misses = self.mem.l0_misses + self.mem.l1_misses;
@@ -244,23 +230,23 @@ mod tests {
             compute_cycles: 800,
             stall_cycles: 40,
             contention_stall_cycles: 4,
-            link_stall_cycles: Some(2),
+            link_stall_cycles: 2,
             baseline_total_cycles: 1000,
             normalized: 0.84,
             normalized_compute: 0.8,
             normalized_stall: 0.04,
             avg_unroll: 2.5,
             avg_ii: 3.25,
-            avg_mii: Some(3.0),
-            backend: Some(BackendKind::Sms),
-            opts: Some(L0Options::default()),
-            unroll_policy: Some(UnrollPolicy::Auto),
-            assignment: Some(AssignmentPolicy::ContentionBlind),
-            proof: Some(ProofCounts {
+            avg_mii: 3.0,
+            backend: BackendKind::Sms,
+            opts: L0Options::default(),
+            unroll_policy: UnrollPolicy::Auto,
+            assignment: AssignmentPolicy::ContentionBlind,
+            proof: ProofCounts {
                 optimal: 2,
                 truncated: 0,
                 heuristic: 1,
-            }),
+            },
             flushes_removed: 0,
             mem: MemStats {
                 accesses: 10,
@@ -268,9 +254,9 @@ mod tests {
                 l0_misses: 1,
                 ..Default::default()
             },
-            sim_micros: Some(1234),
-            ffwd_replayed: Some(20),
-            ffwd_batched: Some(100),
+            sim_micros: 1234,
+            ffwd_replayed: 20,
+            ffwd_batched: 100,
         }
     }
 
@@ -288,10 +274,10 @@ mod tests {
     fn equality_ignores_wall_clock_telemetry() {
         let a = sample();
         let mut b = sample();
-        b.sim_micros = Some(999_999);
+        b.sim_micros = 999_999;
         assert_eq!(a, b, "sim_micros is telemetry, not simulated state");
-        b.ffwd_batched = Some(0);
-        b.ffwd_replayed = None;
+        b.ffwd_batched = 0;
+        b.ffwd_replayed = 120;
         assert_eq!(a, b, "ffwd split is telemetry, not simulated state");
         b.total_cycles += 1;
         assert_ne!(a, b, "simulated state still compares");
@@ -319,61 +305,6 @@ mod tests {
         ] {
             assert!(json.contains(key), "{key} missing from {json}");
         }
-    }
-
-    #[test]
-    fn pre_backend_artifacts_still_deserialize() {
-        // A genuine pre-backend artifact *omits* the new keys entirely
-        // (it was serialized before they existed), so strip them from the
-        // compact JSON and check every one reads back as `None`.
-        let mut json = serde_json::to_string(&sample()).unwrap();
-        for key in [
-            "avg_mii",
-            "backend",
-            "opts",
-            "unroll_policy",
-            "proof",
-            "assignment",
-            "link_stall_cycles",
-            "sim_micros",
-            "ffwd_replayed",
-            "ffwd_batched",
-        ] {
-            let start = json.find(&format!("\"{key}\":")).expect("key present");
-            // Values here are scalars, strings or brace-balanced objects:
-            // cut through the comma that precedes the next top-level key.
-            let mut depth = 0usize;
-            let mut end = start;
-            for (i, ch) in json[start..].char_indices() {
-                match ch {
-                    '{' | '[' => depth += 1,
-                    '}' | ']' if depth > 0 => depth -= 1,
-                    ',' if depth == 0 && json[start + i..].starts_with(",\"") => {
-                        end = start + i + 1;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            assert!(end > start, "{key} not followed by another key");
-            json.replace_range(start..end, "");
-            assert!(!json.contains(&format!("\"{key}\"")), "{key} removed");
-        }
-        let back: Cell = serde_json::from_str(&json).unwrap();
-        let mut legacy = sample();
-        legacy.avg_mii = None;
-        legacy.backend = None;
-        legacy.opts = None;
-        legacy.unroll_policy = None;
-        legacy.proof = None;
-        legacy.assignment = None;
-        legacy.link_stall_cycles = None;
-        legacy.sim_micros = None;
-        legacy.ffwd_replayed = None;
-        legacy.ffwd_batched = None;
-        assert_eq!(back, legacy, "absent keys deserialize as None");
-        assert_eq!(back.sim_micros, None, "legacy artifacts carry no timing");
-        assert_eq!(legacy.link_stalls(), 0, "pre-mesh artifacts read as 0");
     }
 
     #[test]

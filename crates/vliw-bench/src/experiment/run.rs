@@ -40,26 +40,22 @@ pub struct GridResult {
     pub baselines_computed: usize,
     /// How many distinct *profiling* executions the two-pass engine
     /// needed — one per `(benchmark, configuration, blind request)`, not
-    /// one per profile-guided cell (`None` in artifacts written before
-    /// profile-guided variants existed).
-    pub profiles_computed: Option<usize>,
+    /// one per profile-guided cell.
+    pub profiles_computed: usize,
     /// Wall-clock milliseconds [`run_grid`] took end to end — telemetry,
-    /// not simulated state (`None` in artifacts written before the event
-    /// engine). Machine- and load-dependent, so [`GridResult`] equality
-    /// deliberately ignores it.
-    pub wall_ms: Option<u64>,
+    /// not simulated state. Machine- and load-dependent, so
+    /// [`GridResult`] equality deliberately ignores it.
+    pub wall_ms: u64,
     /// Content-addressed job-memo telemetry: how the planning pass's
     /// artifact store deduplicated baseline and base-run executions
-    /// across cells (`None` in artifacts written before the store).
-    /// Planning is deterministic, so — unlike `wall_ms` — this *is*
-    /// part of [`GridResult`] equality.
-    pub store: Option<StoreStats>,
+    /// across cells. Planning is deterministic, so — unlike `wall_ms` —
+    /// this *is* part of [`GridResult`] equality.
+    pub store: StoreStats,
     /// Per-pass compile timing, merged by pass name across every
     /// compilation the grid ran (baselines, base runs and profile-guided
     /// recompiles). Wall-clock telemetry like `wall_ms` — the `micros`
-    /// vary run to run, so equality ignores it (`None` in artifacts
-    /// written before the pass pipeline).
-    pub pass_stats: Option<Vec<PassStat>>,
+    /// vary run to run, so equality ignores it.
+    pub pass_stats: Vec<PassStat>,
 }
 
 /// Equality over the simulated content only: `wall_ms` (and each cell's
@@ -309,23 +305,23 @@ fn run_cell(
         compute_cycles: compute,
         stall_cycles: run.sim.stall_cycles,
         contention_stall_cycles: run.sim.contention_stall_cycles,
-        link_stall_cycles: Some(run.sim.link_stall_cycles),
+        link_stall_cycles: run.sim.link_stall_cycles,
         baseline_total_cycles: baseline.total,
         normalized: total as f64 / denom,
         normalized_compute: compute as f64 / denom,
         normalized_stall: run.sim.stall_cycles as f64 / denom,
         avg_unroll: run.unroll_weighted / weight,
         avg_ii: run.ii_weighted / weight,
-        avg_mii: Some(run.mii_weighted / weight),
-        backend: Some(request.backend),
-        opts: Some(request.opts),
-        unroll_policy: Some(request.unroll),
-        assignment: Some(request.assignment),
-        proof: Some(run.proof),
+        avg_mii: run.mii_weighted / weight,
+        backend: request.backend,
+        opts: request.opts,
+        unroll_policy: request.unroll,
+        assignment: request.assignment,
+        proof: run.proof,
         flushes_removed: run.flushes_removed,
-        sim_micros: Some(run.sim_micros),
-        ffwd_replayed: Some(run.sim.ffwd.iters_replayed),
-        ffwd_batched: Some(run.sim.ffwd.iters_batched),
+        sim_micros: run.sim_micros,
+        ffwd_replayed: run.sim.ffwd.iters_replayed,
+        ffwd_batched: run.sim.ffwd.iters_batched,
         mem: run.sim.mem_stats,
     };
     (cell, own_stats)
@@ -458,10 +454,10 @@ pub fn run_grid(grid: &SweepGrid, mode: ExecMode) -> GridResult {
         variants: grid.variants.iter().map(|v| v.label.clone()).collect(),
         cells,
         baselines_computed,
-        profiles_computed: Some(profiles_computed),
-        wall_ms: Some(wall_start.elapsed().as_millis() as u64),
-        store: Some(store_stats),
-        pass_stats: Some(pass_stats),
+        profiles_computed,
+        wall_ms: wall_start.elapsed().as_millis() as u64,
+        store: store_stats,
+        pass_stats,
     }
 }
 
@@ -497,12 +493,7 @@ mod tests {
         for cell in &result.cells {
             assert!(cell.total_cycles > 0);
             assert!(cell.normalized > 0.0);
-            assert!(
-                cell.sim_micros.is_some(),
-                "fresh cells carry wall-clock telemetry"
-            );
         }
-        assert!(result.wall_ms.is_some(), "grids carry wall-clock telemetry");
     }
 
     #[test]
@@ -518,7 +509,7 @@ mod tests {
         // 4 baseline misses-or-hits + 4 base-run lookups, deduplicated to
         // 2 baseline jobs and 4 base-run jobs (the L0 capacity *is* part
         // of the base-run key).
-        let stats = result.store.expect("fresh grids carry memo stats");
+        let stats = result.store;
         assert_eq!(stats.insertions, 2 + 4, "deduplicated job count");
         assert_eq!(stats.hits + stats.misses, 8, "one lookup per memo per cell");
         assert_eq!(stats.hits, 2, "the shared baselines");
@@ -539,10 +530,7 @@ mod tests {
     #[test]
     fn grids_carry_merged_pass_timing() {
         let result = small_grid().run();
-        let stats = result
-            .pass_stats
-            .as_ref()
-            .expect("fresh grids carry pass timing");
+        let stats = &result.pass_stats;
         let names: Vec<&str> = stats.iter().map(|s| s.name.as_str()).collect();
         for expected in [
             "check-profile",
@@ -606,8 +594,7 @@ mod tests {
         .variant(Variant::new(Arch::L0).labeled("plain"));
         let result = run_grid(&grid, ExecMode::Serial);
         assert_eq!(
-            result.profiles_computed,
-            Some(2),
+            result.profiles_computed, 2,
             "two distinct (config, request) keys across three pgo columns"
         );
         let a = result.cell(0, 0);
@@ -650,18 +637,18 @@ mod tests {
         assert_eq!(result.variants, vec!["sms", "exact"]);
         let sms = result.cell(0, 0);
         let exact = result.cell(0, 1);
-        assert_eq!(sms.backend, Some(BackendKind::Sms));
-        assert_eq!(exact.backend, Some(BackendKind::Exact));
-        assert_eq!(sms.unroll_policy, Some(UnrollPolicy::Auto));
-        assert!(sms.opts.is_some());
+        assert_eq!(sms.backend, BackendKind::Sms);
+        assert_eq!(exact.backend, BackendKind::Exact);
+        assert_eq!(sms.unroll_policy, UnrollPolicy::Auto);
         for cell in [sms, exact] {
-            let mii = cell.avg_mii.expect("recorded");
-            assert!(mii > 0.0 && mii <= cell.avg_ii, "MII is the floor");
-            let proof = cell.proof.expect("recorded");
-            assert_eq!(proof.total(), 1, "one loop compiled");
+            assert!(
+                cell.avg_mii > 0.0 && cell.avg_mii <= cell.avg_ii,
+                "MII is the floor"
+            );
+            assert_eq!(cell.proof.total(), 1, "one loop compiled");
         }
         // The exact backend never tallies a bare heuristic verdict.
-        assert_eq!(exact.proof.unwrap().heuristic, 0);
+        assert_eq!(exact.proof.heuristic, 0);
     }
 
     #[test]

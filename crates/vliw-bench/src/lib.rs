@@ -31,7 +31,7 @@ pub mod experiment;
 pub mod fuzz;
 
 use vliw_machine::MachineConfig;
-use vliw_sched::L0Options;
+use vliw_sched::{CompileRequest, L0Options};
 use vliw_sim::{simulate_arch, SimResult};
 use vliw_workloads::BenchmarkSpec;
 
@@ -52,7 +52,9 @@ pub fn run_loops(
 ) -> SimResult {
     let mut merged = SimResult::default();
     for loop_ in &spec.loops {
-        let schedule = arch.compile_or_panic(loop_, cfg, opts);
+        let schedule = CompileRequest::new(arch)
+            .opts(opts)
+            .compile_or_panic(loop_, cfg);
         merged.merge(&simulate_arch(&schedule, cfg, arch));
     }
     merged

@@ -6,9 +6,8 @@
 //! * `diff_after.json` — `alpha` exactly 25 % slower (a float-exact
 //!   threshold boundary), `beta` removed, `gamma` added.
 //!
-//! The fixtures are written in the *pre-backend* cell format (no
-//! `backend`/`opts`/`avg_mii`/`proof`/`unroll_policy` keys), so loading
-//! them also pins backward compatibility of the trajectory format.
+//! It also pins that every checked-in `GridResult` — these fixtures and
+//! the three CI goldens — is written in the current format.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -26,16 +25,26 @@ fn load(name: &str) -> GridResult {
 }
 
 #[test]
-fn pre_backend_fixtures_deserialize_with_absent_fields_as_none() {
-    let before = load("diff_before.json");
-    assert_eq!(before.cells.len(), 2);
-    for cell in &before.cells {
-        assert_eq!(cell.backend, None);
-        assert_eq!(cell.opts, None);
-        assert_eq!(cell.avg_mii, None);
-        assert_eq!(cell.proof, None);
-        assert_eq!(cell.unroll_policy, None);
-        assert!(cell.total_cycles > 0, "old fields still read");
+fn checked_in_grid_results_reserialize_byte_identically() {
+    // A field added to `GridResult` or `Cell` without regenerating these
+    // artifacts fails here instead of leaving a stale golden beside it.
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    for path in [
+        golden.join("sweep_clusters.json"),
+        golden.join("sweep_backends.json"),
+        golden.join("sweep_pgo.json"),
+        fixture("diff_before.json"),
+        fixture("diff_after.json"),
+    ] {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let grid: GridResult =
+            serde_json::from_str(&text).unwrap_or_else(|e| panic!("{}: {e:?}", path.display()));
+        let again = serde_json::to_string_pretty(&grid).unwrap() + "\n";
+        assert!(
+            again == text,
+            "{} is not in the current format",
+            path.display()
+        );
     }
 }
 
@@ -104,18 +113,6 @@ fn cli_exit_code_contract() {
     // 2: usage error without the two positional paths.
     let usage = run_cli(&[before]);
     assert_eq!(usage.status.code(), Some(2), "{usage:?}");
-}
-
-#[test]
-fn pre_profile_fixtures_load_without_the_profiles_counter() {
-    // The fixtures predate the two-pass engine entirely: no
-    // `profiles_computed` on the grid, no `net` inside any cell's
-    // `mem` block — both must read back as `None`.
-    let before = load("diff_before.json");
-    assert_eq!(before.profiles_computed, None);
-    for cell in &before.cells {
-        assert_eq!(cell.mem.net, None);
-    }
 }
 
 #[test]

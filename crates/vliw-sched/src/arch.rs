@@ -4,17 +4,13 @@
 //! `Arch` used to live in the `vliw-bench` harness, with the arch→compiler
 //! dispatch duplicated there and the arch→memory-model dispatch duplicated
 //! in `vliw-sim`. It now lives next to the compilation drivers so every
-//! layer shares one definition: [`Arch::compile`] is the single
-//! arch→compiler dispatch point, and `vliw_sim::MemoryModelKind` is the
-//! single arch→memory-model dispatch point.
+//! layer shares one definition: [`CompileRequest`](crate::CompileRequest)
+//! is the single arch→compiler dispatch point, and
+//! `vliw_sim::MemoryModelKind` is the single arch→memory-model dispatch
+//! point.
 
-use crate::compile::{CompileRequest, L0Options};
-use crate::engine::ScheduleError;
-use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use vliw_ir::LoopNest;
-use vliw_machine::MachineConfig;
 
 /// Which memory architecture a compilation / simulation targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -57,43 +53,6 @@ impl Arch {
     pub fn uses_l0(self) -> bool {
         matches!(self, Arch::L0)
     }
-
-    /// Compiles one loop for this architecture with the default (SMS)
-    /// backend — a thin wrapper over [`CompileRequest`], which owns the
-    /// full knob set (backend, marking, coherence, unrolling).
-    ///
-    /// Architectures without L0 buffers are compiled against
-    /// `cfg.without_l0()`, so callers always pass the full machine
-    /// configuration. `opts` only affects the L0 target.
-    ///
-    /// # Errors
-    ///
-    /// Returns the scheduler's error when the loop cannot be scheduled.
-    pub fn compile(
-        self,
-        loop_: &LoopNest,
-        cfg: &MachineConfig,
-        opts: L0Options,
-    ) -> Result<Schedule, ScheduleError> {
-        CompileRequest::new(self).opts(opts).compile(loop_, cfg)
-    }
-
-    /// [`Arch::compile`] for loops that are schedulable by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the loop cannot be scheduled — the benchmark suite's
-    /// loops all are, so a failure is a harness bug.
-    pub fn compile_or_panic(
-        self,
-        loop_: &LoopNest,
-        cfg: &MachineConfig,
-        opts: L0Options,
-    ) -> Schedule {
-        CompileRequest::new(self)
-            .opts(opts)
-            .compile_or_panic(loop_, cfg)
-    }
 }
 
 impl fmt::Display for Arch {
@@ -105,38 +64,6 @@ impl fmt::Display for Arch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vliw_ir::LoopBuilder;
-
-    #[test]
-    fn every_arch_compiles_a_simple_loop() {
-        let l = LoopBuilder::new("ew")
-            .trip_count(128)
-            .elementwise(2)
-            .build();
-        let cfg = MachineConfig::micro2003();
-        for arch in Arch::ALL {
-            let s = arch
-                .compile(&l, &cfg, L0Options::default())
-                .expect("schedulable");
-            assert!(s.ii() > 0, "{arch}");
-        }
-    }
-
-    #[test]
-    fn l0_compilation_respects_options() {
-        use crate::compile::MarkPolicy;
-        let l = LoopBuilder::new("ew")
-            .trip_count(128)
-            .elementwise(2)
-            .build();
-        let cfg = MachineConfig::micro2003();
-        let opts = L0Options {
-            mark: MarkPolicy::AllCandidates,
-            ..Default::default()
-        };
-        let s = Arch::L0.compile(&l, &cfg, opts).expect("schedulable");
-        assert!(s.ii() > 0);
-    }
 
     #[test]
     fn labels_are_distinct() {

@@ -7,16 +7,15 @@
 //!    time — the same heuristic for every architecture so comparisons are
 //!    not biased by unrolling, §5.1),
 //! 3. cluster assignment + modulo scheduling (a pluggable
-//!    [`SchedulerBackend`]; [`SmsBackend`](crate::backend::SmsBackend) by
-//!    default),
+//!    [`SchedulerBackend`](crate::backend::SchedulerBackend);
+//!    [`SmsBackend`](crate::backend::SmsBackend) by default),
 //! 4. hint assignment (L0 target only),
 //! 5. explicit prefetch insertion for "other"-stride L0 loads,
 //!    plus the inter-loop flush (`invalidate_buffer` on exit).
 //!
 //! The drivers are reached through a [`CompileRequest`]: one builder that
 //! owns every compilation knob (architecture, backend, marking, coherence,
-//! specialization, unrolling). The free `compile_*` functions and
-//! [`Arch::compile`](crate::Arch::compile) are thin wrappers over it.
+//! specialization, unrolling) and is the only compile entry point.
 
 use crate::backend::BackendKind;
 use crate::coherence::CoherencePolicy;
@@ -31,18 +30,6 @@ use vliw_ir::{specialize, stride, LoopNest, StrideClass};
 use vliw_machine::{FuKind, MachineConfig, Profile, WordInterleavedConfig};
 
 pub use crate::engine::MarkPolicy;
-
-/// The two published scheduling heuristics for the word-interleaved
-/// baseline (the "Interleaved 1" / "Interleaved 2" bars of Figure 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum InterleavedHeuristic {
-    /// Placement-blind: clusters chosen only by communication/balance;
-    /// loads scheduled with the (safe) remote latency.
-    One,
-    /// Owner-aware: statically-owned accesses are assigned to their home
-    /// cluster and scheduled with the local latency.
-    Two,
-}
 
 /// Options for the L0-aware driver (ablation knobs of §5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -295,7 +282,7 @@ impl CompileRequest {
             Arch::L0 => {
                 if cfg.l0.is_none() {
                     return Err(ScheduleError::BadConfig(
-                        "compile_for_l0 needs an L0 configuration".into(),
+                        "the L0 target needs an L0 configuration".into(),
                     ));
                 }
                 let lowered = if self.opts.specialize {
@@ -339,7 +326,7 @@ impl CompileRequest {
     }
 
     /// Compiles one loop — the single arch×backend→driver dispatch point,
-    /// running the [`direct_pipeline`] under a [`PassManager`].
+    /// running the direct pass pipeline under a [`PassManager`].
     ///
     /// Architectures without L0 buffers are compiled against
     /// `cfg.without_l0()`, so callers always pass the full machine
@@ -439,70 +426,6 @@ pub(crate) fn finish_l0(schedule: &mut Schedule, cfg: &MachineConfig, cost: &dyn
     schedule.flush_on_exit = true; // inter-loop coherence (§4.1)
 }
 
-/// Compiles for the baseline clustered VLIW with a unified L1 and no L0
-/// buffers (the normalization baseline of Figures 5 and 7).
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] when no feasible II exists (pathologically
-/// over-constrained loops) or the machine configuration is invalid.
-pub fn compile_base(loop_: &LoopNest, cfg: &MachineConfig) -> Result<Schedule, ScheduleError> {
-    CompileRequest::new(crate::Arch::Baseline).compile(loop_, cfg)
-}
-
-/// Compiles for the paper's architecture (unified L1 + flexible L0
-/// buffers) with default options.
-///
-/// # Errors
-///
-/// See [`compile_base`].
-pub fn compile_for_l0(loop_: &LoopNest, cfg: &MachineConfig) -> Result<Schedule, ScheduleError> {
-    CompileRequest::new(crate::Arch::L0).compile(loop_, cfg)
-}
-
-/// [`compile_for_l0`] with explicit options (ablations).
-///
-/// # Errors
-///
-/// See [`compile_base`].
-pub fn compile_for_l0_with(
-    loop_: &LoopNest,
-    cfg: &MachineConfig,
-    opts: L0Options,
-) -> Result<Schedule, ScheduleError> {
-    CompileRequest::new(crate::Arch::L0)
-        .opts(opts)
-        .compile(loop_, cfg)
-}
-
-/// Compiles for the MultiVLIW distributed-cache baseline: loads scheduled
-/// with the local bank latency (data migrates under MSI).
-///
-/// # Errors
-///
-/// See [`compile_base`].
-pub fn compile_multivliw(loop_: &LoopNest, cfg: &MachineConfig) -> Result<Schedule, ScheduleError> {
-    CompileRequest::new(crate::Arch::MultiVliw).compile(loop_, cfg)
-}
-
-/// Compiles for the word-interleaved distributed-cache baseline with the
-/// chosen heuristic.
-///
-/// # Errors
-///
-/// See [`compile_base`].
-pub fn compile_interleaved(
-    loop_: &LoopNest,
-    cfg: &MachineConfig,
-    heuristic: InterleavedHeuristic,
-) -> Result<Schedule, ScheduleError> {
-    let arch = match heuristic {
-        InterleavedHeuristic::One => crate::Arch::Interleaved1,
-        InterleavedHeuristic::Two => crate::Arch::Interleaved2,
-    };
-    CompileRequest::new(arch).compile(loop_, cfg)
-}
-
 /// Step 5: adds an explicit software prefetch for every L0-latency load
 /// whose stride is *not* good (e.g. column walks) — the mapping/prefetch
 /// hints cannot keep those in L0 on their own. Prefetches are added only
@@ -573,6 +496,10 @@ mod tests {
         MachineConfig::micro2003()
     }
 
+    fn l0() -> CompileRequest {
+        CompileRequest::new(crate::Arch::L0)
+    }
+
     #[test]
     fn elementwise_prefers_unrolling() {
         // two mem ops over four mem units: unrolling amortizes control
@@ -581,7 +508,7 @@ mod tests {
             .trip_count(1024)
             .elementwise(2)
             .build();
-        let s = compile_for_l0(&l, &cfg()).unwrap();
+        let s = l0().compile(&l, &cfg()).unwrap();
         assert_eq!(s.loop_.unroll_factor, 4, "unrolled by N");
     }
 
@@ -593,7 +520,7 @@ mod tests {
             .trip_count(1024)
             .store_load_pair(4)
             .build();
-        let s = compile_for_l0(&l, &cfg()).unwrap();
+        let s = l0().compile(&l, &cfg()).unwrap();
         assert_eq!(s.loop_.unroll_factor, 1);
     }
 
@@ -606,7 +533,7 @@ mod tests {
             .column_walk(4, 1024)
             .int_overhead(6)
             .build();
-        let s = compile_for_l0(&l, &cfg()).unwrap();
+        let s = l0().compile(&l, &cfg()).unwrap();
         let l0_col_loads = s
             .placements
             .iter()
@@ -635,8 +562,9 @@ mod tests {
     #[test]
     fn flush_on_exit_only_for_l0() {
         let l = LoopBuilder::new("ew").trip_count(64).elementwise(2).build();
-        assert!(compile_for_l0(&l, &cfg()).unwrap().flush_on_exit);
-        assert!(!compile_base(&l, &cfg().without_l0()).unwrap().flush_on_exit);
+        assert!(l0().compile(&l, &cfg()).unwrap().flush_on_exit);
+        let base = CompileRequest::new(crate::Arch::Baseline);
+        assert!(!base.compile(&l, &cfg().without_l0()).unwrap().flush_on_exit);
     }
 
     #[test]
@@ -651,16 +579,8 @@ mod tests {
         b.conservative_alias_all();
         let l = b.build();
 
-        let with_spec = compile_for_l0(&l, &cfg()).unwrap();
-        let without_spec = compile_for_l0_with(
-            &l,
-            &cfg(),
-            L0Options {
-                specialize: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let with_spec = l0().compile(&l, &cfg()).unwrap();
+        let without_spec = l0().specialize(false).compile(&l, &cfg()).unwrap();
         // specialization must not hurt; typically it enables more L0 loads
         let l0_with = with_spec
             .placements
@@ -680,16 +600,11 @@ mod tests {
         // 10 loads, 2-entry buffers: selective marks <= 8, all marks 10
         let l = LoopBuilder::new("fir10").trip_count(256).fir(10, 2).build();
         let tiny = cfg().with_l0_entries(L0Capacity::Bounded(2));
-        let sel = compile_for_l0(&l, &tiny).unwrap();
-        let all = compile_for_l0_with(
-            &l,
-            &tiny,
-            L0Options {
-                mark: MarkPolicy::AllCandidates,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let sel = l0().compile(&l, &tiny).unwrap();
+        let all = l0()
+            .mark(MarkPolicy::AllCandidates)
+            .compile(&l, &tiny)
+            .unwrap();
         let count = |s: &Schedule| {
             s.placements
                 .iter()
@@ -707,10 +622,10 @@ mod tests {
             .elementwise(4)
             .build();
         let c = cfg().without_l0();
-        let h1 = compile_interleaved(&l, &c, InterleavedHeuristic::One).unwrap();
-        let h2 = compile_interleaved(&l, &c, InterleavedHeuristic::Two).unwrap();
-        assert!(h1.ii() >= 1);
-        assert!(h2.ii() >= 1);
+        for arch in [crate::Arch::Interleaved1, crate::Arch::Interleaved2] {
+            let s = CompileRequest::new(arch).compile(&l, &c).unwrap();
+            assert!(s.ii() >= 1, "{arch}");
+        }
     }
 
     #[test]
@@ -719,15 +634,17 @@ mod tests {
             .trip_count(256)
             .elementwise(4)
             .build();
-        let s = compile_multivliw(&l, &cfg().without_l0()).unwrap();
+        let s = CompileRequest::new(crate::Arch::MultiVliw)
+            .compile(&l, &cfg().without_l0())
+            .unwrap();
         let load = s.loop_.ops.iter().find(|o| o.is_load()).unwrap();
         assert_eq!(s.placement(load.id).assumed_latency, 2);
     }
 
     #[test]
-    fn compile_for_l0_requires_l0_config() {
+    fn l0_target_requires_l0_config() {
         let l = LoopBuilder::new("ew").trip_count(64).elementwise(2).build();
-        let err = compile_for_l0(&l, &cfg().without_l0()).unwrap_err();
+        let err = l0().compile(&l, &cfg().without_l0()).unwrap_err();
         assert!(matches!(err.root(), ScheduleError::BadConfig(_)));
         assert_eq!(err.pass_name(), Some("lower"), "failure names its pass");
     }

@@ -14,7 +14,7 @@
 //!   keys up to a constant scale), and the default whenever no profile is
 //!   on the [`CompileRequest`](crate::CompileRequest).
 //! * [`Observed`] — the profile-guided model: wraps a
-//!   [`Profile`](vliw_machine::Profile) harvested from a simulation run
+//!   [`Profile`] harvested from a simulation run
 //!   and weighs every route by the per-link stalls and per-bank queueing
 //!   that run actually measured, falling back to the static geometry for
 //!   anything the profile never saw. On an uncontended network every

@@ -97,7 +97,7 @@ pub fn apply_selective_flushing(region: &mut [Schedule]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_for_l0;
+    use crate::{Arch, CompileRequest};
     use vliw_ir::{LoopBuilder, MemAccess};
     use vliw_machine::MachineConfig;
 
@@ -135,8 +135,8 @@ mod tests {
             arr.base_addr += 1 << 30;
         }
         let mut region = vec![
-            compile_for_l0(&a, &cfg).unwrap(),
-            compile_for_l0(&b, &cfg).unwrap(),
+            CompileRequest::new(Arch::L0).compile(&a, &cfg).unwrap(),
+            CompileRequest::new(Arch::L0).compile(&b, &cfg).unwrap(),
         ];
         assert!(region.iter().all(|s| s.flush_on_exit));
         let removed = apply_selective_flushing(&mut region);
@@ -150,7 +150,7 @@ mod tests {
             .trip_count(64)
             .store_load_pair(4)
             .build();
-        let mut region = vec![compile_for_l0(&l, &cfg).unwrap()];
+        let mut region = vec![CompileRequest::new(Arch::L0).compile(&l, &cfg).unwrap()];
         let removed = apply_selective_flushing(&mut region);
         assert_eq!(removed, 0);
         assert!(region[0].flush_on_exit);
@@ -177,8 +177,12 @@ mod tests {
         reader.arrays[0].base_addr = writer.arrays[0].base_addr;
 
         let mut region = vec![
-            compile_for_l0(&writer, &cfg).unwrap(),
-            compile_for_l0(&reader, &cfg).unwrap(),
+            CompileRequest::new(Arch::L0)
+                .compile(&writer, &cfg)
+                .unwrap(),
+            CompileRequest::new(Arch::L0)
+                .compile(&reader, &cfg)
+                .unwrap(),
         ];
         let removed = apply_selective_flushing(&mut region);
         assert_eq!(removed, 0, "shared data keeps every flush");

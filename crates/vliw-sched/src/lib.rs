@@ -26,8 +26,8 @@
 //!   bound search for provably-minimal IIs, an offline SMT-solver
 //!   stand-in).
 //! * [`compile`] — the end-to-end drivers behind the [`CompileRequest`]
-//!   builder: [`compile_base`], [`compile_for_l0`], [`compile_multivliw`],
-//!   [`compile_interleaved`], and the unroll-factor selection of step 1.
+//!   builder, the only compile entry point, and the unroll-factor
+//!   selection of step 1.
 //! * [`passes`] — the explicit pass pipeline the drivers run on: a
 //!   [`Pass`] trait, a [`PassManager`] with per-pass timing and failure
 //!   attribution, and the [`VerifyLevel`] knob gating the static
@@ -38,13 +38,17 @@
 //! ```
 //! use vliw_ir::LoopBuilder;
 //! use vliw_machine::MachineConfig;
-//! use vliw_sched::{compile_base, compile_for_l0};
+//! use vliw_sched::{Arch, CompileRequest};
 //!
 //! let cfg = MachineConfig::micro2003();
 //! let l = LoopBuilder::new("ew").trip_count(1024).elementwise(2).build();
 //!
-//! let base = compile_base(&l, &cfg.without_l0()).expect("schedulable");
-//! let with_l0 = compile_for_l0(&l, &cfg).expect("schedulable");
+//! let base = CompileRequest::new(Arch::Baseline)
+//!     .compile(&l, &cfg)
+//!     .expect("schedulable");
+//! let with_l0 = CompileRequest::new(Arch::L0)
+//!     .compile(&l, &cfg)
+//!     .expect("schedulable");
 //!
 //! // The L0 schedule uses the 1-cycle buffer latency for its loads, so
 //! // its initiation interval can never be worse.
@@ -73,10 +77,7 @@ pub mod symbolic;
 pub use arch::Arch;
 pub use backend::{BackendKind, ExactBackend, SchedulerBackend, SmsBackend};
 pub use coherence::{CoherencePolicy, CoherenceSolution};
-pub use compile::{
-    compile_base, compile_for_l0, compile_for_l0_with, compile_interleaved, compile_multivliw,
-    CompileRequest, InterleavedHeuristic, L0Options, MarkPolicy, UnrollPolicy,
-};
+pub use compile::{CompileRequest, L0Options, MarkPolicy, UnrollPolicy};
 pub use cost::{base_loop_name, Observed, PlacementCost, StaticDistance};
 pub use engine::{AssignmentPolicy, ScheduleError};
 pub use flush::{apply_selective_flushing, needs_flush_between};

@@ -369,14 +369,17 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_for_l0;
+    use crate::{Arch, CompileRequest};
     use vliw_ir::LoopBuilder;
     use vliw_machine::MachineConfig;
 
     fn sample() -> (Schedule, MachineConfig) {
         let cfg = MachineConfig::micro2003();
         let l = LoopBuilder::new("sample").trip_count(64).fir(4, 2).build();
-        (compile_for_l0(&l, &cfg).unwrap(), cfg)
+        (
+            CompileRequest::new(Arch::L0).compile(&l, &cfg).unwrap(),
+            cfg,
+        )
     }
 
     #[test]

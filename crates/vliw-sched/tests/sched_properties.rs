@@ -5,7 +5,7 @@
 
 use vliw_ir::{DepKind, LoopBuilder, LoopNest};
 use vliw_machine::MachineConfig;
-use vliw_sched::{Arch, L0Options, Schedule};
+use vliw_sched::{Arch, CompileRequest, Schedule};
 use vliw_testutil::{cases, Rng};
 
 const CASES: u64 = 96;
@@ -28,7 +28,8 @@ fn random_kernel(rng: &mut Rng) -> LoopNest {
 }
 
 fn compile(l: &LoopNest, cfg: &MachineConfig, arch: Arch) -> Schedule {
-    arch.compile(l, cfg, L0Options::default())
+    CompileRequest::new(arch)
+        .compile(l, cfg)
         .expect("schedulable")
 }
 

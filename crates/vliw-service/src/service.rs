@@ -182,10 +182,8 @@ pub struct ServiceReport {
     /// equal across passes iff every pass served identical artifacts.
     pub checksum: Option<u64>,
     /// Every failed compile, attributed to its artifact key and failing
-    /// pass, in deterministic (key, error) order. `Option` so reports
-    /// serialized before this field existed still deserialize
-    /// (`None`); freshly-built reports always carry `Some`.
-    pub failures: Option<Vec<FailureRecord>>,
+    /// pass, in deterministic (key, error) order.
+    pub failures: Vec<FailureRecord>,
 }
 
 /// What a shard caches: the direct schedule under exact keys, the
@@ -452,7 +450,7 @@ impl CompileService {
             latency_p50_micros: percentile(&latencies, 50),
             latency_p99_micros: percentile(&latencies, 99),
             checksum: config.checksum.then_some(checksum),
-            failures: Some(failures),
+            failures,
         }
     }
 }
@@ -642,9 +640,8 @@ mod tests {
         let report = CompileService::new(config(KeyMode::Exact, false)).replay(reqs);
         assert_eq!(report.served, 0);
         assert_eq!(report.errors, 3);
-        let failures = report.failures.expect("fresh reports carry failures");
-        assert_eq!(failures.len(), 3);
-        for f in &failures {
+        assert_eq!(report.failures.len(), 3);
+        for f in &report.failures {
             assert_eq!(f.key, expected_key);
             assert_eq!(f.pass.as_deref(), Some("lower"), "failing pass is named");
             assert!(f.error.contains("L0 configuration"), "{}", f.error);
@@ -656,6 +653,6 @@ mod tests {
         let report = CompileService::new(config(KeyMode::Symbolic, true))
             .replay(requests(&[16, 64], KeyMode::Symbolic));
         assert_eq!(report.errors, 0);
-        assert_eq!(report.failures, Some(Vec::new()));
+        assert!(report.failures.is_empty());
     }
 }

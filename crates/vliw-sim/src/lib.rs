@@ -21,15 +21,15 @@
 //! ```
 //! use vliw_ir::LoopBuilder;
 //! use vliw_machine::MachineConfig;
-//! use vliw_sched::{Arch, L0Options};
+//! use vliw_sched::{Arch, CompileRequest};
 //! use vliw_sim::simulate_arch;
 //!
 //! let cfg = MachineConfig::micro2003();
 //! // in-place update: the load sits on the II-bounding memory recurrence
 //! let l = LoopBuilder::new("slp").trip_count(512).store_load_pair(4).build();
 //!
-//! let base = Arch::Baseline.compile(&l, &cfg, L0Options::default()).unwrap();
-//! let with_l0 = Arch::L0.compile(&l, &cfg, L0Options::default()).unwrap();
+//! let base = CompileRequest::new(Arch::Baseline).compile(&l, &cfg).unwrap();
+//! let with_l0 = CompileRequest::new(Arch::L0).compile(&l, &cfg).unwrap();
 //!
 //! let r_base = simulate_arch(&base, &cfg, Arch::Baseline);
 //! let r_l0 = simulate_arch(&with_l0, &cfg, Arch::L0);

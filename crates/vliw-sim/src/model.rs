@@ -68,7 +68,7 @@ pub fn simulate_arch(schedule: &Schedule, cfg: &MachineConfig, arch: Arch) -> Si
 mod tests {
     use super::*;
     use vliw_ir::LoopBuilder;
-    use vliw_sched::L0Options;
+    use vliw_sched::CompileRequest;
 
     #[test]
     fn kind_mapping_covers_every_arch() {
@@ -115,7 +115,7 @@ mod tests {
             .elementwise(2)
             .build();
         let cfg = MachineConfig::micro2003();
-        let s = Arch::L0.compile(&l, &cfg, L0Options::default()).unwrap();
+        let s = CompileRequest::new(Arch::L0).compile(&l, &cfg).unwrap();
         let via_arch = simulate_arch(&s, &cfg, Arch::L0);
         let mut model = MemoryModelKind::UnifiedL0.build(&cfg);
         let via_model = simulate(&s, &cfg, model.as_mut());

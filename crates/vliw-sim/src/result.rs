@@ -66,9 +66,7 @@ pub struct SimResult {
     pub op_stalls: Vec<OpStall>,
     /// Memory-system counters.
     pub mem_stats: MemStats,
-    /// Fast-forward telemetry (excluded from equality; `serde(default)`
-    /// so artifacts written before the fast-forward existed still load).
-    #[serde(default)]
+    /// Fast-forward telemetry (excluded from equality).
     pub ffwd: FfwdStats,
 }
 

@@ -626,14 +626,15 @@ mod tests {
     use crate::model::{simulate_arch, MemoryModelKind};
     use vliw_ir::LoopBuilder;
     use vliw_machine::L0Capacity;
-    use vliw_sched::{Arch, L0Options};
+    use vliw_sched::{Arch, CompileRequest};
 
     fn cfg() -> MachineConfig {
         MachineConfig::micro2003()
     }
 
     fn compile(l: &vliw_ir::LoopNest, c: &MachineConfig, arch: Arch) -> Schedule {
-        arch.compile(l, c, L0Options::default())
+        CompileRequest::new(arch)
+            .compile(l, c)
             .expect("schedulable")
     }
 

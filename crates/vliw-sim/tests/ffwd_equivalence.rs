@@ -10,7 +10,7 @@
 
 use vliw_ir::LoopNest;
 use vliw_machine::{InterconnectConfig, L0Capacity, MachineConfig};
-use vliw_sched::{Arch, L0Options};
+use vliw_sched::{Arch, CompileRequest};
 use vliw_sim::{simulate, simulate_replay, MemoryModelKind};
 use vliw_testutil::{cases, Rng};
 use vliw_workloads::fuzz::{random_loop, random_machine};
@@ -21,7 +21,7 @@ use vliw_workloads::{kernels, mediabench_suite};
 /// of the fast-forwarded run so callers can additionally pin that
 /// detection fired.
 fn assert_ffwd_invisible(label: &str, l: &LoopNest, cfg: &MachineConfig, arch: Arch) -> u64 {
-    let Ok(s) = arch.compile(l, cfg, L0Options::default()) else {
+    let Ok(s) = CompileRequest::new(arch).compile(l, cfg) else {
         return 0; // infeasible on this machine; nothing to compare
     };
     let kind = MemoryModelKind::for_arch(arch);

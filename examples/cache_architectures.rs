@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example cache_architectures`
 
 use clustered_vliw_l0::machine::MachineConfig;
-use clustered_vliw_l0::sched::{Arch, L0Options};
+use clustered_vliw_l0::sched::{Arch, CompileRequest};
 use clustered_vliw_l0::sim::{simulate_arch, SimResult};
 use clustered_vliw_l0::workloads::kernels;
 
@@ -26,8 +26,8 @@ fn main() {
         .map(|arch| {
             let mut merged = SimResult::default();
             for l in &loops {
-                let s = arch
-                    .compile(l, &cfg, L0Options::default())
+                let s = CompileRequest::new(arch)
+                    .compile(l, &cfg)
                     .expect("schedulable");
                 merged.merge(&simulate_arch(&s, &cfg, arch));
             }

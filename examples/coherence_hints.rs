@@ -5,8 +5,7 @@
 //! Run with: `cargo run --release --example coherence_hints`
 
 use clustered_vliw_l0::machine::MachineConfig;
-use clustered_vliw_l0::sched::Arch;
-use clustered_vliw_l0::sched::{compile_for_l0_with, CoherencePolicy, L0Options};
+use clustered_vliw_l0::sched::{Arch, CoherencePolicy, CompileRequest};
 use clustered_vliw_l0::sim::simulate_arch;
 use clustered_vliw_l0::workloads::kernels;
 
@@ -32,12 +31,11 @@ fn main() {
             ("Auto (the paper's driver)", CoherencePolicy::Auto),
         ] {
             for specialize in [false, true] {
-                let opts = L0Options {
-                    policy,
-                    specialize,
-                    ..Default::default()
-                };
-                let s = compile_for_l0_with(loop_, &cfg, opts).expect("schedulable");
+                let s = CompileRequest::new(Arch::L0)
+                    .coherence(policy)
+                    .specialize(specialize)
+                    .compile(loop_, &cfg)
+                    .expect("schedulable");
                 let r = simulate_arch(&s, &cfg, Arch::L0);
                 println!(
                     "  {:<26} specialization {:<3}  II={:<3} replicas={:<2} cycles={}",

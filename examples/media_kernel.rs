@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example media_kernel`
 
 use clustered_vliw_l0::machine::MachineConfig;
-use clustered_vliw_l0::sched::{Arch, L0Options};
+use clustered_vliw_l0::sched::{Arch, CompileRequest};
 use clustered_vliw_l0::sim::simulate_arch;
 use clustered_vliw_l0::workloads::kernels;
 
@@ -35,11 +35,11 @@ fn main() {
         );
     }
 
-    let base = Arch::Baseline
-        .compile(&pred, &cfg, L0Options::default())
+    let base = CompileRequest::new(Arch::Baseline)
+        .compile(&pred, &cfg)
         .expect("schedulable");
-    let l0 = Arch::L0
-        .compile(&pred, &cfg, L0Options::default())
+    let l0 = CompileRequest::new(Arch::L0)
+        .compile(&pred, &cfg)
         .expect("schedulable");
     println!();
     println!(

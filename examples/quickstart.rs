@@ -21,11 +21,11 @@ fn main() {
 
     // Compile for the baseline (no L0 buffers, every load pays the
     // 6-cycle L1 latency) and for the L0-buffer architecture.
-    let base = Arch::Baseline
-        .compile(&loop_, &cfg, L0Options::default())
+    let base = CompileRequest::new(Arch::Baseline)
+        .compile(&loop_, &cfg)
         .expect("baseline schedulable");
-    let with_l0 = Arch::L0
-        .compile(&loop_, &cfg, L0Options::default())
+    let with_l0 = CompileRequest::new(Arch::L0)
+        .compile(&loop_, &cfg)
         .expect("L0 schedulable");
 
     println!("baseline:   II={} stages={}", base.ii(), base.stage_count());

@@ -34,7 +34,9 @@
 //!     .build();
 //!
 //! // Compile it with the L0-aware modulo scheduler and run it.
-//! let schedule = Arch::L0.compile(&loop_, &cfg, L0Options::default()).expect("schedulable");
+//! let schedule = CompileRequest::new(Arch::L0)
+//!     .compile(&loop_, &cfg)
+//!     .expect("schedulable");
 //! let result = simulate_arch(&schedule, &cfg, Arch::L0);
 //! assert!(result.total_cycles() > 0);
 //! ```
@@ -53,7 +55,7 @@ pub mod prelude {
     pub use vliw_machine::{
         AccessHint, L0Capacity, MachineConfig, MappingHint, MemHints, PrefetchHint,
     };
-    pub use vliw_sched::{compile_base, compile_for_l0, Arch, L0Options, Schedule};
+    pub use vliw_sched::{Arch, CompileRequest, L0Options, Schedule};
     pub use vliw_sim::{simulate_arch, MemoryModelKind, SimResult};
     pub use vliw_workloads::{mediabench_suite, BenchmarkSpec};
 }

@@ -9,7 +9,7 @@
 //! IIs); the unrolled body is exercised explicitly.
 
 use clustered_vliw_l0::machine::MachineConfig;
-use vliw_sched::{Arch, BackendKind, CompileRequest, IiProof, UnrollPolicy};
+use vliw_sched::{Arch, BackendKind, CompileRequest, IiProof, L0Options, UnrollPolicy};
 use vliw_workloads::mediabench_suite;
 
 const ARCHES: [Arch; 3] = [Arch::Baseline, Arch::L0, Arch::Interleaved2];
@@ -66,17 +66,20 @@ fn exact_ii_within_mii_and_sms_across_the_whole_suite() {
 
 #[test]
 fn default_backend_is_bit_exact_with_the_legacy_compile_path() {
-    // The `CompileRequest` default must reproduce `Arch::compile` (which
-    // itself wraps it) *and* the historical per-arch drivers.
+    // The `CompileRequest` default must reproduce the legacy per-arch
+    // compile path: the SMS backend with default L0 options.
     let cfg = MachineConfig::micro2003();
     for spec in mediabench_suite().into_iter().take(3) {
         for l in &spec.loops {
             for arch in ARCHES {
-                let via_request = CompileRequest::new(arch).compile_or_panic(l, &cfg);
-                let via_arch = arch.compile_or_panic(l, &cfg, vliw_sched::L0Options::default());
-                assert_eq!(via_request.ii(), via_arch.ii());
-                assert_eq!(via_request.placements, via_arch.placements);
-                assert_eq!(via_request.copies, via_arch.copies);
+                let via_default = CompileRequest::new(arch).compile_or_panic(l, &cfg);
+                let via_explicit = CompileRequest::new(arch)
+                    .backend(BackendKind::Sms)
+                    .opts(L0Options::default())
+                    .compile_or_panic(l, &cfg);
+                assert_eq!(via_default.ii(), via_explicit.ii());
+                assert_eq!(via_default.placements, via_explicit.placements);
+                assert_eq!(via_default.copies, via_explicit.copies);
             }
         }
     }

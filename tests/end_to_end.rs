@@ -3,7 +3,7 @@
 
 use clustered_vliw_l0::ir::{LoopBuilder, LoopNest};
 use clustered_vliw_l0::machine::{L0Capacity, MachineConfig};
-use clustered_vliw_l0::sched::{Arch, L0Options, Schedule};
+use clustered_vliw_l0::sched::{Arch, CompileRequest, Schedule};
 use clustered_vliw_l0::sim::simulate_arch;
 use clustered_vliw_l0::workloads::kernels;
 
@@ -12,7 +12,8 @@ fn cfg() -> MachineConfig {
 }
 
 fn compile(l: &LoopNest, c: &MachineConfig, arch: Arch) -> Schedule {
-    arch.compile(l, c, L0Options::default())
+    CompileRequest::new(arch)
+        .compile(l, c)
         .expect("schedulable")
 }
 

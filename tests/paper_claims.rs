@@ -3,7 +3,7 @@
 //! the `vliw-bench` binaries).
 
 use clustered_vliw_l0::machine::{AccessHint, L0Capacity, MachineConfig};
-use clustered_vliw_l0::sched::L0Options;
+use clustered_vliw_l0::sched::{CompileRequest, L0Options};
 use clustered_vliw_l0::workloads::mediabench_suite;
 use vliw_bench::{baseline_run, run_benchmark, Arch};
 
@@ -151,7 +151,7 @@ fn hints_are_legal_across_the_suite() {
     let cfg = MachineConfig::micro2003();
     for spec in mediabench_suite().iter().take(4) {
         for loop_ in &spec.loops {
-            let s = Arch::L0.compile_or_panic(loop_, &cfg, L0Options::default());
+            let s = CompileRequest::new(Arch::L0).compile_or_panic(loop_, &cfg);
             let ii = s.ii() as i64;
             let mem_slots: std::collections::HashSet<(usize, i64)> = s
                 .placements

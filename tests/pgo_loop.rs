@@ -100,23 +100,20 @@ fn golden_pgo_cells_record_the_shipped_compile() {
     for v in ["32 mesh mshr pgo", "32 flat pgo", "4 flat pgo"] {
         let cell = golden_cell(&g, v);
         assert_eq!(
-            cell.opts.expect("resolved opts recorded").mark,
+            cell.opts.mark,
             MarkPolicy::ProfileGuided,
             "{v} shipped the recompile"
         );
-        assert_eq!(cell.assignment, Some(AssignmentPolicy::ContentionAware));
+        assert_eq!(cell.assignment, AssignmentPolicy::ContentionAware);
     }
     // …while a cell whose profiling pass measured better ships *that*
     // compile and records its request honestly (the 16-cluster mesh is
     // the case the keep-the-better guarantee exists for).
     let kept = golden_cell(&g, "16 mesh mshr pgo");
-    assert_eq!(
-        kept.opts.expect("resolved opts recorded").mark,
-        MarkPolicy::Selective
-    );
+    assert_eq!(kept.opts.mark, MarkPolicy::Selective);
     // The engine memoized one profiling pass per (benchmark, config,
     // request) — 6 pgo columns, 6 distinct machines.
-    assert_eq!(g.profiles_computed, Some(6));
+    assert_eq!(g.profiles_computed, 6);
 }
 
 /// The contention-heavy spec the live (non-golden) tests run — smaller
@@ -195,7 +192,7 @@ fn two_pass_cell_never_measures_worse_than_its_profiling_pass() {
         pgo.total_cycles,
         aware.total_cycles
     );
-    assert_eq!(result.profiles_computed, Some(1), "one profiling pass");
+    assert_eq!(result.profiles_computed, 1, "one profiling pass");
     // And the whole two-pass grid is reproducible end to end.
     let again = grid.run();
     assert_eq!(again, result, "two-pass grids are deterministic");

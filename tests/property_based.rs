@@ -9,7 +9,7 @@
 
 use clustered_vliw_l0::ir::{LoopBuilder, LoopNest, MemAccess, OpKind, StridePattern};
 use clustered_vliw_l0::machine::{L0Capacity, MachineConfig};
-use clustered_vliw_l0::sched::{Arch, L0Options};
+use clustered_vliw_l0::sched::{Arch, CompileRequest};
 use clustered_vliw_l0::sim::simulate_arch;
 use vliw_testutil::Rng;
 
@@ -66,13 +66,13 @@ fn random_loops_always_schedule_validly() {
     let cfg = MachineConfig::micro2003();
     for case in 0..CASES {
         let l = random_loop(case);
-        let base = Arch::Baseline
-            .compile(&l, &cfg, L0Options::default())
+        let base = CompileRequest::new(Arch::Baseline)
+            .compile(&l, &cfg)
             .unwrap_or_else(|e| panic!("case {case}: baseline: {e}"));
         base.validate(&cfg)
             .unwrap_or_else(|e| panic!("case {case}: baseline valid: {e}"));
-        let l0 = Arch::L0
-            .compile(&l, &cfg, L0Options::default())
+        let l0 = CompileRequest::new(Arch::L0)
+            .compile(&l, &cfg)
             .unwrap_or_else(|e| panic!("case {case}: L0: {e}"));
         l0.validate(&cfg)
             .unwrap_or_else(|e| panic!("case {case}: L0 valid: {e}"));
@@ -91,8 +91,8 @@ fn random_loops_simulate_deterministically() {
     let cfg = MachineConfig::micro2003();
     for case in 0..CASES {
         let l = random_loop(case);
-        let s = Arch::L0
-            .compile(&l, &cfg, L0Options::default())
+        let s = CompileRequest::new(Arch::L0)
+            .compile(&l, &cfg)
             .expect("schedulable");
         let a = simulate_arch(&s, &cfg, Arch::L0);
         let b = simulate_arch(&s, &cfg, Arch::L0);
@@ -105,8 +105,8 @@ fn stalls_never_make_compute_negative_and_totals_add_up() {
     let cfg = MachineConfig::micro2003();
     for case in 0..CASES {
         let l = random_loop(case);
-        let base = Arch::Baseline
-            .compile(&l, &cfg, L0Options::default())
+        let base = CompileRequest::new(Arch::Baseline)
+            .compile(&l, &cfg)
             .expect("schedulable");
         let r = simulate_arch(&base, &cfg, Arch::Baseline);
         assert_eq!(
@@ -131,8 +131,8 @@ fn capacity_sweep_is_safe_for_any_loop() {
             L0Capacity::Unbounded,
         ] {
             let cfg = MachineConfig::micro2003().with_l0_entries(entries);
-            let s = Arch::L0
-                .compile(&l, &cfg, L0Options::default())
+            let s = CompileRequest::new(Arch::L0)
+                .compile(&l, &cfg)
                 .expect("schedulable");
             let r = simulate_arch(&s, &cfg, Arch::L0);
             assert!(r.total_cycles() > 0, "case {case} {entries}");

@@ -12,7 +12,7 @@
 
 use clustered_vliw_l0::ir::{LoopBuilder, LoopNest, MemAccess, OpKind, StridePattern};
 use clustered_vliw_l0::machine::{InterconnectConfig, MachineConfig};
-use clustered_vliw_l0::sched::{Arch, L0Options};
+use clustered_vliw_l0::sched::{Arch, CompileRequest};
 use clustered_vliw_l0::sim::{simulate_arch, SimResult};
 use vliw_testutil::Rng;
 
@@ -94,8 +94,8 @@ fn attribution_is_complete_and_disjoint_on_every_topology() {
         let l = random_loop(case);
         for (name, ic) in topologies() {
             let cfg = MachineConfig::micro2003().with_interconnect(ic);
-            let s = Arch::L0
-                .compile(&l, &cfg, L0Options::default())
+            let s = CompileRequest::new(Arch::L0)
+                .compile(&l, &cfg)
                 .unwrap_or_else(|e| panic!("case {case} {name}: {e}"));
             let r = simulate_arch(&s, &cfg, Arch::L0);
             check(name, case, &r);
@@ -120,8 +120,8 @@ fn network_cycle_delta_equals_the_stall_delta() {
         let l = random_loop(case);
         for (name, ic) in topologies() {
             let cfg = MachineConfig::micro2003().with_interconnect(ic);
-            let s = Arch::L0
-                .compile(&l, &cfg, L0Options::default())
+            let s = CompileRequest::new(Arch::L0)
+                .compile(&l, &cfg)
                 .unwrap_or_else(|e| panic!("case {case} {name}: {e}"));
             let contended = simulate_arch(&s, &cfg, Arch::L0);
             let flat_cfg = MachineConfig::micro2003();
@@ -151,8 +151,8 @@ fn every_arch_attributes_consistently_on_the_mesh() {
             Arch::MultiVliw,
             Arch::Interleaved2,
         ] {
-            let s = arch
-                .compile(&l, &cfg, L0Options::default())
+            let s = CompileRequest::new(arch)
+                .compile(&l, &cfg)
                 .unwrap_or_else(|e| panic!("case {case} {arch}: {e}"));
             let r = simulate_arch(&s, &cfg, arch);
             check("mesh", case, &r);
