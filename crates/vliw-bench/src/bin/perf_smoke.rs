@@ -16,11 +16,13 @@
 //! the artifact trail is the deliverable.
 //!
 //! `--require-ffwd` adds the one check that *is* gating: the steady-
-//! state fast-forward must have batched at least one iteration somewhere
-//! on the mini-grid (the cells carry `ffwd_replayed`/`ffwd_batched`
-//! telemetry). The stream kernels are engineered to settle, so a zero
-//! here means the detector is dead — every equality suite would still
-//! pass while the sweeps silently lose their speedup.
+//! state fast-forward must have batched at least one iteration in every
+//! cell of the mini-grid (the cells carry `ffwd_replayed`/`ffwd_batched`
+//! telemetry), and the error names each cell that did not. The stream
+//! kernels are engineered to settle on all three networks, so a zero
+//! means the detector is dead on that network — every equality suite
+//! would still pass while the sweeps silently lose their speedup, and a
+//! grid-wide sum would let one dead network hide behind the other two.
 //!
 //! `--service` switches to the compile-service smoke: the same three
 //! kernels replayed through [`CompileService`] cold (uncached) and warm
@@ -34,7 +36,7 @@
 use serde::Serialize;
 use std::sync::Arc;
 use vliw_bench::experiment::{
-    materialize_mix, write_json, zipf_mix, BinArgs, GridResult, SweepGrid, Variant,
+    materialize_mix, write_json, zipf_mix, BinArgs, Cell, GridResult, SweepGrid, Variant,
 };
 use vliw_bench::Arch;
 use vliw_ir::LoopNest;
@@ -187,16 +189,58 @@ fn main() {
     }
 
     if args.has_flag("--require-ffwd") {
-        let (replayed, batched) = median_run.cells.iter().fold((0u64, 0u64), |(r, b), c| {
-            (r + c.ffwd_replayed, b + c.ffwd_batched)
-        });
-        println!("  ffwd: {replayed} iterations replayed, {batched} batched");
-        if batched == 0 {
+        for c in &median_run.cells {
+            println!(
+                "  ffwd {:>6}: {} iterations replayed, {} batched",
+                c.variant, c.ffwd_replayed, c.ffwd_batched
+            );
+        }
+        let dead = unbatched_cells(&median_run.cells);
+        if !dead.is_empty() {
             eprintln!(
-                "perf smoke: --require-ffwd but the fast-forward never fired \
-                 on the mini-grid ({replayed} iterations all replayed)"
+                "perf smoke: --require-ffwd but the fast-forward never fired on {}",
+                dead.join(", ")
             );
             std::process::exit(1);
         }
+    }
+}
+
+/// The `--require-ffwd` gate: every cell in which the fast-forward
+/// batched nothing, as `benchmark/variant (n iterations all replayed)`.
+fn unbatched_cells(cells: &[Cell]) -> Vec<String> {
+    cells
+        .iter()
+        .filter(|c| c.ffwd_batched == 0)
+        .map(|c| {
+            format!(
+                "{}/{} ({} iterations all replayed)",
+                c.benchmark, c.variant, c.ffwd_replayed
+            )
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn require_ffwd_gates_every_cell_by_name() {
+        let mut run = grid().run();
+        assert_eq!(run.cells.len(), 3);
+        assert!(
+            unbatched_cells(&run.cells).is_empty(),
+            "every network batches"
+        );
+        // One dead network must fail the gate even though the other two
+        // still batch.
+        let hier = run.cells.iter_mut().find(|c| c.variant == "hier").unwrap();
+        hier.ffwd_replayed += hier.ffwd_batched;
+        hier.ffwd_batched = 0;
+        assert_eq!(
+            unbatched_cells(&run.cells),
+            vec!["smoke/hier (624 iterations all replayed)".to_string()]
+        );
     }
 }

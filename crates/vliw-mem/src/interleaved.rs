@@ -27,6 +27,15 @@ struct AttractionEntry {
 
 /// A per-cluster attraction buffer: fully associative, LRU, word
 /// granularity.
+///
+/// The buffer is a *set*: `entries` is kept sorted by `word_addr`, so
+/// its layout is a function of its contents alone and two buffers that
+/// hold the same words with the same timestamps are the same value,
+/// whatever order the words arrived in. The victim is the entry with
+/// the least `(last_use, word_addr)`; the word address only breaks
+/// `last_use` ties, which the paper's machine never produces (a buffer
+/// is stamped only by its own cluster's accesses, one memory unit per
+/// cluster) — see DESIGN.md §14.
 #[derive(Debug, Clone)]
 struct AttractionBuffer {
     entries: Vec<AttractionEntry>,
@@ -47,20 +56,23 @@ impl AttractionBuffer {
         addr / self.word_bytes * self.word_bytes
     }
 
-    fn probe(&mut self, addr: u64, cycle: u64) -> Option<u64> {
+    /// The position of `addr`'s word: `Ok` where it is resident, `Err`
+    /// where it would be inserted.
+    fn find(&self, addr: u64) -> Result<usize, usize> {
         let w = self.word_base(addr);
-        for e in &mut self.entries {
-            if e.word_addr == w {
-                e.last_use = cycle;
-                return Some(e.ready_at.max(cycle));
-            }
-        }
-        None
+        self.entries.binary_search_by_key(&w, |e| e.word_addr)
+    }
+
+    fn probe(&mut self, addr: u64, cycle: u64) -> Option<u64> {
+        let i = self.find(addr).ok()?;
+        let e = &mut self.entries[i];
+        e.last_use = cycle;
+        Some(e.ready_at.max(cycle))
     }
 
     fn insert(&mut self, addr: u64, cycle: u64, ready_at: u64) {
-        let w = self.word_base(addr);
-        if let Some(e) = self.entries.iter_mut().find(|e| e.word_addr == w) {
+        if let Ok(i) = self.find(addr) {
+            let e = &mut self.entries[i];
             e.last_use = cycle;
             e.ready_at = e.ready_at.min(ready_at);
             return;
@@ -69,6 +81,8 @@ impl AttractionBuffer {
             return;
         }
         if self.entries.len() >= self.capacity {
+            // `min_by_key` keeps the first minimum, which in word order
+            // is the least `(last_use, word_addr)`.
             let victim = self
                 .entries
                 .iter()
@@ -76,20 +90,27 @@ impl AttractionBuffer {
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(i, _)| i)
                 .expect("non-empty");
-            self.entries.swap_remove(victim);
+            self.entries.remove(victim);
         }
-        self.entries.push(AttractionEntry {
-            word_addr: w,
-            last_use: cycle,
-            ready_at,
-        });
+        let (Ok(at) | Err(at)) = self.find(addr);
+        self.entries.insert(
+            at,
+            AttractionEntry {
+                word_addr: self.word_base(addr),
+                last_use: cycle,
+                ready_at,
+            },
+        );
     }
 
     fn invalidate(&mut self, addr: u64) -> bool {
-        let w = self.word_base(addr);
-        let before = self.entries.len();
-        self.entries.retain(|e| e.word_addr != w);
-        before != self.entries.len()
+        match self.find(addr) {
+            Ok(i) => {
+                self.entries.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     fn len(&self) -> usize {
@@ -97,12 +118,12 @@ impl AttractionBuffer {
     }
 
     /// Folds the buffer's entries into `h` at boundary `base`. Entries
-    /// stream in vector order: eviction picks the first
-    /// minimum-`last_use` entry and uses `swap_remove`, so the order is
-    /// part of the observable LRU state. `last_use` enters as its
-    /// replacement rank and `ready_at` as its live offset
+    /// stream in storage order, which is word order, so equal sets
+    /// digest equal. `last_use` enters as its replacement rank and
+    /// `ready_at` as its live offset
     /// ([`lru_rank_by`](crate::digest::lru_rank_by) /
-    /// [`live_ready`](crate::digest::live_ready)).
+    /// [`live_ready`](crate::digest::live_ready)); the rank's index
+    /// tie-break is the word order the victim rule uses.
     fn digest_into(&self, h: &mut crate::digest::Fnv, base: u64) {
         h.write_u64(self.entries.len() as u64);
         for (i, e) in self.entries.iter().enumerate() {
@@ -315,7 +336,8 @@ impl MemoryModel for WordInterleavedMem {
             .merged(inflight.is_some());
         }
 
-        // Remotely-mapped word.
+        // Remotely-mapped word: the bus to the remote bank and back.
+        let bus_round = self.cfg.remote_latency as u64 - self.cfg.local_latency as u64;
         if is_store {
             // write-through to the home bank over the bus; any cached
             // attraction copies elsewhere are invalidated by the snoop,
@@ -331,8 +353,6 @@ impl MemoryModel for WordInterleavedMem {
             let merged = inflight.is_some();
             let (overhead, queue, links, return_way) =
                 self.home_trip(req.cluster, owner, req.cycle, merged);
-            let bus_round =
-                2 * (self.cfg.remote_latency as u64 - self.cfg.local_latency as u64) / 2;
             // the wait for an in-flight refill overlaps the *forward*
             // trip only: the reply still pays its bus share + hops back
             let merged_done = inflight
@@ -357,8 +377,6 @@ impl MemoryModel for WordInterleavedMem {
         self.stats.remote_accesses += 1;
         let (bank_lat, hit, inflight) = self.bank_access(owner, req.addr, req.cycle, arrival);
         let merged = inflight.is_some();
-        // bus to the remote bank and back
-        let bus_round = self.cfg.remote_latency as u64 - self.cfg.local_latency as u64;
         let (overhead, queue, links, return_way) =
             self.home_trip(req.cluster, owner, req.cycle, merged);
         // the wait for an in-flight refill overlaps the *forward* trip
@@ -504,6 +522,60 @@ mod tests {
         assert_eq!(m.stats().invalidations, 2);
         let r = m.access(&load(0, 0x104, 40));
         assert_ne!(r.serviced_by, ServicedBy::L0);
+    }
+
+    #[test]
+    fn attraction_buffer_digest_is_insertion_order_free() {
+        // Three words owned by cluster 1, in three different L1 blocks
+        // (one line per L1 set, so the banks' digests are order-free
+        // too). Cluster 0 attracts them in opposite orders, then touches
+        // them in one order, so both buffers end with equal timestamps.
+        let words = [0x104u64, 0x124, 0x144];
+        let build = |order: [u64; 3]| {
+            let mut m = mem();
+            for (i, &w) in order.iter().enumerate() {
+                m.access(&load(0, w, i as u64 * 10));
+            }
+            for (i, &w) in words.iter().enumerate() {
+                let r = m.access(&load(0, w, 100 + i as u64 * 10));
+                assert_eq!(r.serviced_by, ServicedBy::L0);
+            }
+            m
+        };
+        let a = build(words);
+        let b = build([words[2], words[1], words[0]]);
+        assert_eq!(a.state_digest(1000), b.state_digest(1000));
+    }
+
+    #[test]
+    fn attraction_buffer_ties_evict_the_same_word_in_any_order() {
+        // [V(1), Y(5), X(5)] and [Y(5), V(1), X(5)]: the same words with
+        // the same `last_use`, built in different orders. Evicting V and
+        // then one of the tied X/Y must pick the same word in both.
+        let (v, x, y, z, w) = (0x10, 0x20, 0x30, 0x40, 0x50);
+        let mut a = AttractionBuffer::new(3, 4);
+        a.insert(v, 1, 1);
+        a.insert(y, 5, 5);
+        a.insert(x, 5, 5);
+        let mut b = AttractionBuffer::new(3, 4);
+        b.insert(y, 0, 0);
+        b.insert(v, 1, 1);
+        b.probe(y, 5);
+        b.insert(x, 5, 5);
+        for ab in [&mut a, &mut b] {
+            ab.insert(z, 6, 6); // evicts V, the least recent
+            ab.insert(w, 7, 7); // X and Y tie at 5: the lower word goes
+        }
+        let words = |ab: &AttractionBuffer| ab.entries.iter().map(|e| e.word_addr).collect();
+        let (wa, wb): (Vec<u64>, Vec<u64>) = (words(&a), words(&b));
+        assert_eq!(wa, wb);
+        assert_eq!(wa, vec![y, z, w]);
+        let digest = |ab: &AttractionBuffer| {
+            let mut h = crate::digest::Fnv::new();
+            ab.digest_into(&mut h, 7);
+            h.finish()
+        };
+        assert_eq!(digest(&a), digest(&b));
     }
 
     #[test]

@@ -46,6 +46,6 @@ pub mod runner;
 
 pub use compat::{simulate_with, EngineKind};
 pub use model::{simulate_arch, MemoryModelKind};
-pub use result::{FfwdStats, OpStall, SimResult};
+pub use result::{FfwdReason, FfwdStats, OpStall, SimResult};
 pub use runner::{simulate, simulate_replay};
 pub use vliw_sched::Arch;

@@ -28,8 +28,45 @@ impl OpStall {
     }
 }
 
+/// Why the steady-state fast-forward did or did not batch a run
+/// (DESIGN.md §14). A pure function of the schedule, the machine, the
+/// model and the knob, so it is as deterministic as the cycles.
+///
+/// The variants are ordered from "batched" to "never tried": a run that
+/// did not batch reports the variant closest to [`FfwdReason::Fired`]
+/// that any of its detectors reached, and [`SimResult::merge`] keeps the
+/// greatest reason of its parts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub enum FfwdReason {
+    /// At least one period was batched. Also the reason of an empty
+    /// result, so it is the identity of [`SimResult::merge`].
+    #[default]
+    Fired,
+    /// A period was confirmed, but less than one whole period of the
+    /// visit (iteration level) or of the run (visit level) was left to
+    /// batch.
+    WindowExhausted,
+    /// Boundary digests recurred, but the per-period counter deltas
+    /// around them differed.
+    DeltasMismatched,
+    /// Boundary digests were compared, and none recurred at a legal
+    /// period.
+    DigestNeverMatched,
+    /// Neither detector could compare two periods: fewer than 3 visits,
+    /// and no more than two iteration strides per visit.
+    TooFewVisits,
+    /// Neither detector could run: fewer than 3 visits, and no
+    /// iteration stride (an irregular address stream, or an alignment
+    /// too long for the iteration window).
+    NoStride,
+    /// The memory model does not support fast-forward.
+    Unsupported,
+    /// Fast-forward was off ([`simulate_replay`](crate::simulate_replay)).
+    Off,
+}
+
 /// Steady-state fast-forward telemetry: how much of the run was replayed
-/// request-by-request vs accounted in closed form.
+/// request-by-request vs accounted in closed form, and why.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FfwdStats {
     /// Dynamic loop iterations actually replayed.
@@ -38,6 +75,8 @@ pub struct FfwdStats {
     /// fast-forward (never replayed; their cycles and counters were
     /// multiplied in).
     pub iters_batched: u64,
+    /// Why the run was (or was not) batched.
+    pub reason: FfwdReason,
 }
 
 /// The outcome of simulating one loop (or an aggregate of several).
@@ -136,6 +175,7 @@ impl SimResult {
         self.mem_stats.merge(&other.mem_stats);
         self.ffwd.iters_replayed += other.ffwd.iters_replayed;
         self.ffwd.iters_batched += other.ffwd.iters_batched;
+        self.ffwd.reason = self.ffwd.reason.max(other.ffwd.reason);
     }
 
     /// Adds `cycles` of stall attributed to `op` (of which `network`
@@ -280,9 +320,27 @@ mod tests {
         let mut b = a.clone();
         b.ffwd.iters_batched = 99;
         b.ffwd.iters_replayed = 1;
+        b.ffwd.reason = FfwdReason::DigestNeverMatched;
         assert_eq!(a, b, "telemetry must not break result equality");
         b.compute_cycles = 11;
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn merge_keeps_the_reason_furthest_from_firing() {
+        let with = |reason| SimResult {
+            ffwd: FfwdStats {
+                reason,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut a = SimResult::default();
+        a.merge(&with(FfwdReason::Fired));
+        assert_eq!(a.ffwd.reason, FfwdReason::Fired);
+        a.merge(&with(FfwdReason::DigestNeverMatched));
+        a.merge(&with(FfwdReason::WindowExhausted));
+        assert_eq!(a.ffwd.reason, FfwdReason::DigestNeverMatched);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! [`simulate_replay`] keeps it off, and the equivalence suites pin
 //! fast-forward-on against it.
 
-use crate::result::{OpStall, SimResult};
+use crate::result::{FfwdReason, OpStall, SimResult};
 use std::ops::Range;
 use vliw_ir::{AddressStream, OpId};
 use vliw_machine::{ClusterId, MachineConfig, NetLoad};
@@ -213,6 +213,9 @@ struct Detector {
     limit: usize,
     done: bool,
     fired: bool,
+    /// The miss closest to firing this detector has seen (`None` before
+    /// its first comparison).
+    reached: Option<FfwdReason>,
 }
 
 impl Detector {
@@ -223,7 +226,13 @@ impl Detector {
             limit,
             done: false,
             fired: false,
+            reached: None,
         }
+    }
+
+    /// Records that a comparison got as far as `reason`.
+    fn note(&mut self, reason: FfwdReason) {
+        self.reached = closest(self.reached, Some(reason));
     }
 
     /// `true` while the detector still wants boundary snapshots.
@@ -241,21 +250,22 @@ impl Detector {
         let b = self.history.len() - 1;
         let mut p = self.stride as usize;
         while 2 * p <= b {
-            if self.matches(b, p) {
+            let h = &self.history;
+            let miss = if h[b].digest != h[b - p].digest {
+                FfwdReason::DigestNeverMatched
+            } else if (0..p).all(|j| delta_eq(h, b - j, b - p - j)) {
                 self.fired = true;
                 return Some(p as u64);
-            }
+            } else {
+                FfwdReason::DeltasMismatched
+            };
+            self.note(miss);
             p += self.stride as usize;
         }
         if self.history.len() > self.limit {
             self.done = true;
         }
         None
-    }
-
-    fn matches(&self, b: usize, p: usize) -> bool {
-        let h = &self.history;
-        h[b].digest == h[b - p].digest && (0..p).all(|j| delta_eq(h, b - j, b - p - j))
     }
 
     /// The deltas of the just-confirmed period (the last `p` boundaries).
@@ -272,6 +282,12 @@ impl Detector {
             op_stalls: op_stall_delta(&now.op_stalls, &then.op_stalls),
         }
     }
+}
+
+/// Of two detectors' miss reasons, the one closer to
+/// [`FfwdReason::Fired`] (`None`: that detector made no comparison).
+fn closest(a: Option<FfwdReason>, b: Option<FfwdReason>) -> Option<FfwdReason> {
+    a.into_iter().chain(b).min()
 }
 
 /// Captures a boundary: the model's digest relative to `base` plus the
@@ -433,6 +449,8 @@ pub(crate) fn run(
         None
     };
     let mut iter_armed = iter_stride.is_some();
+    // The miss closest to firing any detector reached this run.
+    let mut reached: Option<FfwdReason> = None;
     let mut visit_detect = (ffwd_on && visits >= 3).then(|| Detector::new(1, visits as usize + 1));
     if let Some(det) = visit_detect.as_mut() {
         det.record(take_snapshot(
@@ -547,6 +565,8 @@ pub(crate) fn run(
                             );
                             i += k * p;
                             result.ffwd.iters_batched += k * p;
+                        } else {
+                            det.note(FfwdReason::WindowExhausted);
                         }
                         // The residue is shorter than a period; nothing
                         // further can fire inside this visit.
@@ -564,6 +584,7 @@ pub(crate) fn run(
         clock_base += visit_compute;
         visit += 1;
         if let Some(det) = iter_detect {
+            reached = closest(reached, det.reached);
             // A visit that exhausted its warm-up window without finding a
             // period will not find one next visit either (the request
             // structure repeats per visit) — stop paying the digests.
@@ -600,6 +621,8 @@ pub(crate) fn run(
                         clock_base += k * p * visit_compute;
                         visit += k * p;
                         result.ffwd.iters_batched += k * p * trip;
+                    } else {
+                        det.note(FfwdReason::WindowExhausted);
                     }
                     det.done = true;
                 }
@@ -607,6 +630,22 @@ pub(crate) fn run(
         }
     }
 
+    if let Some(det) = &visit_detect {
+        reached = closest(reached, det.reached);
+    }
+    result.ffwd.reason = if !ffwd {
+        FfwdReason::Off
+    } else if !ffwd_on {
+        FfwdReason::Unsupported
+    } else if result.ffwd.iters_batched > 0 {
+        FfwdReason::Fired
+    } else if let Some(miss) = reached {
+        miss
+    } else if iter_stride.is_none() {
+        FfwdReason::NoStride
+    } else {
+        FfwdReason::TooFewVisits
+    };
     result.stall_cycles = slip;
     result.mem_stats = model.stats().clone();
     result.mem_stats.merge(&stats_extra);
@@ -834,9 +873,7 @@ mod tests {
     #[test]
     fn visit_level_fast_forward_fires_and_is_bit_exact() {
         // 24 visits: enough to confirm even a multi-visit steady period
-        // (the word-interleaved model settles into a 7-visit orbit of
-        // attraction-buffer vector orders, and confirmation needs two
-        // full periods).
+        // (confirmation needs two full periods after the cold visits).
         let l = LoopBuilder::new("ew")
             .trip_count(64)
             .visits(24)
@@ -851,6 +888,8 @@ mod tests {
                 on.ffwd.iters_batched > 0,
                 "{arch}: steady visits must batch"
             );
+            assert_eq!(on.ffwd.reason, FfwdReason::Fired, "{arch}");
+            assert_eq!(off.ffwd.reason, FfwdReason::Off, "{arch}");
             assert_eq!(
                 on.ffwd.iters_replayed + on.ffwd.iters_batched,
                 trip * visits,
@@ -907,5 +946,45 @@ mod tests {
                 "{arch}: only whole visits may batch for irregular streams"
             );
         }
+    }
+
+    /// A fixed-latency model that does not opt in to fast-forward.
+    struct FixedLatency(MemStats);
+
+    impl MemoryModel for FixedLatency {
+        fn access(&mut self, req: &MemRequest) -> vliw_mem::MemReply {
+            vliw_mem::MemReply::new(req.cycle + 1, vliw_mem::ServicedBy::L1)
+        }
+
+        fn stats(&self) -> &MemStats {
+            &self.0
+        }
+    }
+
+    #[test]
+    fn reasons_name_why_nothing_batched() {
+        let reason = |l: &vliw_ir::LoopNest| {
+            let s = compile(l, &cfg(), Arch::Baseline);
+            let kind = MemoryModelKind::for_arch(Arch::Baseline);
+            simulate(&s, &cfg(), kind.build(&cfg()).as_mut())
+                .ffwd
+                .reason
+        };
+        // One visit of an irregular stream: no detector can run.
+        let irr = LoopBuilder::new("irr")
+            .trip_count(96)
+            .irregular(4, 65536)
+            .build();
+        assert_eq!(reason(&irr), FfwdReason::NoStride);
+        // One visit of four iterations: too short for two periods.
+        let short = LoopBuilder::new("short")
+            .trip_count(4)
+            .elementwise(2)
+            .build();
+        assert_eq!(reason(&short), FfwdReason::TooFewVisits);
+        // A model that does not opt in is never fast-forwarded.
+        let s = compile(&short, &cfg(), Arch::Baseline);
+        let r = simulate(&s, &cfg(), &mut FixedLatency(MemStats::default()));
+        assert_eq!(r.ffwd.reason, FfwdReason::Unsupported);
     }
 }
