@@ -3,7 +3,7 @@
 //! scheduler backends, at `VerifyLevel::Full`, plus the determinism
 //! lint over the workspace's serialization surfaces.
 //!
-//! This is the CI gate behind the pass-pipeline refactor: the compiler
+//! This is the CI gate for the compile driver: the compiler
 //! *constructs* schedules, this binary *re-derives* their legality from
 //! first principles and exits nonzero the moment any invariant breaks —
 //! IR well-formedness, dependence/resource/routing legality under the
@@ -64,7 +64,7 @@ fn main() {
     }
 
     // Layers 2+3: schedule legality and simulator accounting, for every
-    // (loop, arch, backend). `VerifyLevel::Full` makes the pipeline's
+    // (loop, arch, backend). `VerifyLevel::Full` makes the driver's
     // own verify pass re-check everything in-band too — a violation
     // there is a compile *error*, which the harness treats as fatal.
     let backends: &[BackendKind] = if full_backends {

@@ -61,10 +61,10 @@ pub struct Variant {
     /// pass is memoized per `(benchmark, configuration, blind request)`.
     pub profile_guided: bool,
     /// Verification level threaded into every compile this variant
-    /// issues (`None` keeps the request's default, `Debug`). Grids run
-    /// by CI set `Full` so every schedule is re-checked from first
-    /// principles by the pass pipeline's `verify` stage.
-    pub verify: Option<VerifyLevel>,
+    /// issues (default `Debug`). Grids run by CI set `Full` so every
+    /// schedule is re-checked from first principles by the compile
+    /// driver's `verify` pass.
+    pub verify: VerifyLevel,
     /// `true` while the label tracks the latest knob automatically.
     auto_label: bool,
 }
@@ -87,7 +87,7 @@ impl Variant {
             unroll: UnrollPolicy::default(),
             selective_flush: false,
             profile_guided: false,
-            verify: None,
+            verify: VerifyLevel::default(),
             auto_label: true,
         }
     }
@@ -174,20 +174,17 @@ impl Variant {
     /// The fully-resolved compile request this variant schedules with —
     /// recorded verbatim in every [`Cell`](crate::experiment::Cell).
     pub fn request(&self) -> CompileRequest {
-        let req = CompileRequest::new(self.arch)
+        CompileRequest::new(self.arch)
             .backend(self.backend)
             .opts(self.opts)
             .unroll(self.unroll)
-            .assignment(self.assignment);
-        match self.verify {
-            Some(level) => req.verify(level),
-            None => req,
-        }
+            .assignment(self.assignment)
+            .verify(self.verify)
     }
 
     /// Sets the verification level for every compile this variant issues.
     pub fn verify(mut self, level: VerifyLevel) -> Self {
-        self.verify = Some(level);
+        self.verify = level;
         self
     }
 
@@ -313,12 +310,12 @@ mod tests {
     fn variant_verify_level_reaches_the_request() {
         let v = Variant::new(Arch::L0);
         assert_eq!(
-            v.request().verify_level(),
+            v.request().verify,
             VerifyLevel::Debug,
             "unset keeps the request default"
         );
         let full = v.verify(VerifyLevel::Full);
-        assert_eq!(full.request().verify_level(), VerifyLevel::Full);
+        assert_eq!(full.request().verify, VerifyLevel::Full);
         assert_eq!(
             full.label, "L0 buffers",
             "verification is not a column axis"

@@ -147,7 +147,7 @@ fn run_spec(
         .iter()
         .map(|l| {
             // Same panic contract as `compile_or_panic`, but keeps the
-            // pipeline's per-pass timing.
+            // driver's per-pass timing.
             let (s, stats) = request
                 .compile_with_stats(l, cfg)
                 .unwrap_or_else(|e| panic!("{} ('{}'): {e}", request.arch.label(), l.name));

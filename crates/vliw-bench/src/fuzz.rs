@@ -276,7 +276,7 @@ pub fn run_corpus(config: &FuzzConfig) -> FuzzReport {
             let l = random_loop(&mut rng);
             let arch = Arch::L0;
             let blind = CompileRequest::new(arch).assignment(AssignmentPolicy::ContentionBlind);
-            let aware = CompileRequest::new(arch).contention_aware(true);
+            let aware = CompileRequest::new(arch).assignment(AssignmentPolicy::ContentionAware);
             let Ok(blind_s) = blind.compile(&l, &mesh) else {
                 continue;
             };

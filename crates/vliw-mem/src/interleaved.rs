@@ -411,10 +411,6 @@ impl MemoryModel for WordInterleavedMem {
         (!self.ic.is_flat()).then(|| self.ic.network_load())
     }
 
-    fn supports_fast_forward(&self) -> bool {
-        true
-    }
-
     fn state_digest(&self, base_cycle: u64) -> u64 {
         let mut h = crate::digest::Fnv::new();
         for bank in &self.banks {

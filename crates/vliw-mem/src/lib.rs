@@ -112,18 +112,6 @@ pub trait MemoryModel {
         None
     }
 
-    /// `true` when the model implements [`state_digest`] and
-    /// [`advance_clock`] faithfully, opting in to the runner's
-    /// steady-state fast-forward. The default is `false` so a model that
-    /// keeps the defaulted digest (a constant) can never be mistaken for
-    /// one that is periodic — a constant digest *always* recurs.
-    ///
-    /// [`state_digest`]: MemoryModel::state_digest
-    /// [`advance_clock`]: MemoryModel::advance_clock
-    fn supports_fast_forward(&self) -> bool {
-        false
-    }
-
     /// A translation-invariant digest of every piece of state that can
     /// influence the timing of a *future* request: buffer/cache contents
     /// (addresses absolute, LRU timestamps relative to `base_cycle`),
@@ -135,14 +123,16 @@ pub trait MemoryModel {
     /// Monotonic observables that arbitration never consults (statistics
     /// counters, link/bank load profiles) are excluded — the runner
     /// batches those separately in closed form.
-    fn state_digest(&self, _base_cycle: u64) -> u64 {
-        0
-    }
+    ///
+    /// Required, with [`advance_clock`](MemoryModel::advance_clock): the
+    /// runner's steady-state fast-forward trusts both on every model. A
+    /// stateless model returns a constant.
+    fn state_digest(&self, base_cycle: u64) -> u64;
 
     /// Shifts every clock-bearing piece of model state forward by
     /// `delta` cycles, realizing the translation that
     /// [`state_digest`](MemoryModel::state_digest) promises is invisible:
     /// after `advance_clock(d)`, requests at `cycle + d` behave exactly
     /// as requests at `cycle` would have before.
-    fn advance_clock(&mut self, _delta: u64) {}
+    fn advance_clock(&mut self, delta: u64);
 }

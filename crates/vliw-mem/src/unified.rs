@@ -264,10 +264,6 @@ impl MemoryModel for UnifiedL1 {
         (!self.stack.ic.is_flat()).then(|| self.stack.ic.network_load())
     }
 
-    fn supports_fast_forward(&self) -> bool {
-        true
-    }
-
     fn state_digest(&self, base_cycle: u64) -> u64 {
         let mut h = crate::digest::Fnv::new();
         self.buses.digest_into(&mut h, base_cycle);
@@ -606,10 +602,6 @@ impl MemoryModel for UnifiedWithL0 {
 
     fn network_load(&self) -> Option<vliw_machine::NetLoad> {
         (!self.stack.ic.is_flat()).then(|| self.stack.ic.network_load())
-    }
-
-    fn supports_fast_forward(&self) -> bool {
-        true
     }
 
     fn state_digest(&self, base_cycle: u64) -> u64 {

@@ -1,19 +1,20 @@
-//! Pluggable scheduler backends (ROADMAP "SMT scheduler backend").
+//! The two scheduler backends: step 3 (cluster assignment + modulo
+//! scheduling) of every compile runs one of them, chosen by the
+//! request's [`BackendKind`] and dispatched by [`BackendKind::schedule`]:
 //!
-//! The compilation drivers of [`crate::compile`] are backend-agnostic:
-//! everything between code specialization and hint assignment goes through
-//! the [`SchedulerBackend`] trait, so alternative schedulers plug in
-//! without forking the drivers. Two backends ship:
+//! * [`BackendKind::Sms`] — the paper's SMS-style heuristic
+//!   ([`engine::run_with`]). The default.
+//! * [`BackendKind::Exact`] — a branch-and-bound search over
+//!   `(cluster, cycle)` placements under modulo-resource (MRT) and
+//!   dependence-distance constraints. It starts at the MII and proves
+//!   each II infeasible before trying the next, so the II it returns is
+//!   minimal under its latency model (see below) — an offline stand-in
+//!   for the SMT-solver formulation of "Optimal Software Pipelining
+//!   using an SMT-Solver" (PAPERS.md), reporting the per-loop optimality
+//!   gap of SMS.
 //!
-//! * [`SmsBackend`] — the paper's SMS-style heuristic ([`engine::run`]),
-//!   bit-exact with the pre-trait scheduler. The default.
-//! * [`ExactBackend`] — a branch-and-bound search over `(cluster, cycle)`
-//!   placements under modulo-resource (MRT) and dependence-distance
-//!   constraints. It starts at the MII and proves each II infeasible
-//!   before trying the next, so the II it returns is minimal under its
-//!   latency model (see below) — an offline stand-in for the SMT-solver
-//!   formulation of "Optimal Software Pipelining using an SMT-Solver"
-//!   (PAPERS.md), reporting the per-loop optimality gap of SMS.
+//! Either way the result records the MII it searched from in
+//! [`Schedule::mii`] and its optimality claim in [`Schedule::ii_proof`].
 //!
 //! # The exact backend's model
 //!
@@ -37,9 +38,9 @@
 //!   discipline of ILP schedulers.
 //!
 //! Within that model every infeasibility verdict is a real refutation.
-//! The backend always schedules with SMS first and uses its result as the
-//! incumbent, so by construction `MII ≤ exact II ≤ SMS II` — the search
-//! can only improve on the heuristic, never regress it.
+//! The search always schedules with SMS first and uses its result as the
+//! incumbent, so by construction `MII ≤ exact II ≤ SMS II` — it can only
+//! improve on the heuristic, never regress it.
 
 use crate::cost::PlacementCost;
 use crate::engine::{self, AssignmentPolicy, Mode, ScheduleError};
@@ -51,18 +52,39 @@ use std::fmt;
 use vliw_ir::{stride, DataDepGraph, LoopNest, MemDepSets, OpId};
 use vliw_machine::{ClusterId, MachineConfig};
 
-/// A modulo scheduler: turns one (specialized, possibly unrolled) loop
-/// into a [`Schedule`] for `cfg` under the architecture-specific `mode`.
-///
-/// Implementations must record the MII they searched from in
-/// [`Schedule::mii`] and their optimality claim in [`Schedule::ii_proof`].
-pub trait SchedulerBackend {
-    /// Short label used in error messages, experiment columns and
-    /// serialized artifacts (e.g. `"sms"`, `"exact"`).
-    fn label(&self) -> &'static str;
+/// The exact search's per-II budget in *placement attempts* (each one
+/// O(edges) of work): large enough to settle the synthetic Mediabench
+/// suite's L0 loops, small enough that a pathological loop degrades to
+/// [`IiProof::Truncated`] instead of hanging the sweep.
+pub const DEFAULT_NODE_BUDGET: u64 = 200_000;
 
-    /// Schedules `loop_` under the given cluster-assignment policy and
-    /// placement-cost model ([`AssignmentPolicy::ContentionBlind`] with
+/// Serializable backend selector — the experiment-grid axis.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum BackendKind {
+    /// The paper's SMS-style heuristic (the default).
+    #[default]
+    Sms,
+    /// The exact branch-and-bound search, with [`DEFAULT_NODE_BUDGET`].
+    Exact,
+}
+
+impl BackendKind {
+    /// Every backend, SMS first.
+    pub const ALL: [BackendKind; 2] = [BackendKind::Sms, BackendKind::Exact];
+
+    /// The backend's display label (error messages, experiment columns,
+    /// serialized artifacts).
+    pub fn label(self) -> &'static str {
+        match self {
+            BackendKind::Sms => "sms",
+            BackendKind::Exact => "exact",
+        }
+    }
+
+    /// Schedules one (specialized, possibly unrolled) loop for `cfg`
+    /// under the architecture-specific `mode`, the cluster-assignment
+    /// policy and the placement-cost model
+    /// ([`AssignmentPolicy::ContentionBlind`] with
     /// [`StaticDistance`](crate::cost::StaticDistance) reproduces the
     /// paper's distance-blind ordering bit-exactly; an
     /// [`Observed`](crate::cost::Observed) cost closes the
@@ -72,75 +94,19 @@ pub trait SchedulerBackend {
     ///
     /// Returns [`ScheduleError`] when no feasible II exists up to the
     /// search cap or the machine configuration is invalid.
-    fn schedule(
-        &self,
-        loop_: &LoopNest,
-        cfg: &MachineConfig,
-        mode: Mode,
-        assignment: AssignmentPolicy,
-        cost: &dyn PlacementCost,
-    ) -> Result<Schedule, ScheduleError>;
-}
-
-/// The paper's SMS-style heuristic scheduler — a thin veneer over
-/// [`engine::run`], bit-exact with the pre-trait compilation path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SmsBackend;
-
-impl SchedulerBackend for SmsBackend {
-    fn label(&self) -> &'static str {
-        "sms"
-    }
-
-    fn schedule(
-        &self,
+    pub fn schedule(
+        self,
         loop_: &LoopNest,
         cfg: &MachineConfig,
         mode: Mode,
         assignment: AssignmentPolicy,
         cost: &dyn PlacementCost,
     ) -> Result<Schedule, ScheduleError> {
-        let schedule = engine::run_with(loop_, cfg, mode, assignment, cost)?;
-        debug_assert_eq!(
-            schedule.validate(cfg),
-            Ok(()),
-            "sms backend emitted an illegal schedule for '{}'",
-            schedule.loop_.name
-        );
-        Ok(schedule)
-    }
-}
-
-/// Serializable backend selector — the experiment-grid axis. Use
-/// [`BackendKind::as_backend`] to obtain the implementation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum BackendKind {
-    /// [`SmsBackend`] (the default).
-    #[default]
-    Sms,
-    /// [`ExactBackend`] with its default node budget.
-    Exact,
-}
-
-impl BackendKind {
-    /// Every backend, SMS first.
-    pub const ALL: [BackendKind; 2] = [BackendKind::Sms, BackendKind::Exact];
-
-    /// The backend's display label.
-    pub fn label(self) -> &'static str {
         match self {
-            BackendKind::Sms => "sms",
-            BackendKind::Exact => "exact",
-        }
-    }
-
-    /// The implementation behind the selector.
-    pub fn as_backend(self) -> &'static dyn SchedulerBackend {
-        match self {
-            BackendKind::Sms => &SmsBackend,
-            BackendKind::Exact => &ExactBackend {
-                node_budget: ExactBackend::DEFAULT_NODE_BUDGET,
-            },
+            BackendKind::Sms => engine::run_with(loop_, cfg, mode, assignment, cost),
+            BackendKind::Exact => {
+                exact_schedule(loop_, cfg, mode, assignment, cost, DEFAULT_NODE_BUDGET)
+            }
         }
     }
 }
@@ -151,97 +117,68 @@ impl fmt::Display for BackendKind {
     }
 }
 
-/// Branch-and-bound modulo scheduler: finds the smallest II feasible
-/// under its latency model, proving per-II infeasibility on the way up
-/// from the MII (see the module docs for the model's scope).
-#[derive(Debug, Clone, Copy)]
-pub struct ExactBackend {
-    /// Placement-attempt budget per candidate II (each attempt is
-    /// O(edges) of work). When a proof attempt exceeds it, that II is
-    /// skipped unproven and the final schedule is marked
-    /// [`IiProof::Truncated`].
-    pub node_budget: u64,
-}
-
-impl ExactBackend {
-    /// Default per-II budget in *placement attempts* (each one O(edges)
-    /// of work): large enough to settle the synthetic Mediabench suite's
-    /// L0 loops, small enough that a pathological loop degrades to
-    /// "truncated" instead of hanging the sweep.
-    pub const DEFAULT_NODE_BUDGET: u64 = 200_000;
-}
-
-impl Default for ExactBackend {
-    fn default() -> Self {
-        ExactBackend {
-            node_budget: Self::DEFAULT_NODE_BUDGET,
-        }
-    }
-}
-
-impl SchedulerBackend for ExactBackend {
-    fn label(&self) -> &'static str {
-        "exact"
+/// The exact backend: finds the smallest II feasible under its latency
+/// model, proving per-II infeasibility on the way up from the MII (see
+/// the module docs for the model's scope). `node_budget` caps the
+/// placement attempts per candidate II; an II whose proof exceeds it is
+/// skipped unproven and the result is marked [`IiProof::Truncated`].
+pub(crate) fn exact_schedule(
+    loop_: &LoopNest,
+    cfg: &MachineConfig,
+    mode: Mode,
+    assignment: AssignmentPolicy,
+    cost: &dyn PlacementCost,
+    node_budget: u64,
+) -> Result<Schedule, ScheduleError> {
+    // SMS provides the incumbent: an upper bound and a fallback, so
+    // the exact backend can only improve on the heuristic. The
+    // assignment policy and cost model bias the incumbent (and the
+    // static L0 marking below); the DFS itself already enumerates
+    // every (cluster, cycle) placement, so its verdicts are
+    // policy-independent.
+    let sms = engine::run_with(loop_, cfg, mode, assignment, cost)
+        .map_err(|e| e.with_backend(BackendKind::Exact.label()))?;
+    if sms.ii() <= sms.mii {
+        return Ok(sms); // already proved optimal by hitting the MII
     }
 
-    fn schedule(
-        &self,
-        loop_: &LoopNest,
-        cfg: &MachineConfig,
-        mode: Mode,
-        assignment: AssignmentPolicy,
-        cost: &dyn PlacementCost,
-    ) -> Result<Schedule, ScheduleError> {
-        // SMS provides the incumbent: an upper bound and a fallback, so
-        // the exact backend can only improve on the heuristic. The
-        // assignment policy and cost model bias the incumbent (and the
-        // static L0 marking below); the DFS itself already enumerates
-        // every (cluster, cycle) placement, so its verdicts are
-        // policy-independent.
-        let sms = engine::run_with(loop_, cfg, mode, assignment, cost)
-            .map_err(|e| e.with_backend(self.label()))?;
-        if sms.ii() <= sms.mii {
-            return Ok(sms); // already proved optimal by hitting the MII
-        }
-
-        let ddg = DataDepGraph::build(loop_);
-        // Ops in mixed load/store sets get the NL0 treatment (II-independent,
-        // so computed once for the whole II sweep).
-        let banned = mixed_set_members(loop_);
-        let mut proved_all_below = true;
-        for ii in sms.mii..sms.ii() {
-            match Search::run(loop_, cfg, &ddg, &banned, mode, cost, ii, self.node_budget) {
-                Outcome::Found(schedule) => {
-                    let mut schedule = *schedule;
-                    schedule.mii = sms.mii;
-                    schedule.ii_proof = if proved_all_below {
-                        IiProof::Optimal
-                    } else {
-                        IiProof::Truncated
-                    };
-                    debug_assert_eq!(
-                        schedule.validate(cfg),
-                        Ok(()),
-                        "exact backend emitted an illegal schedule for '{}'",
-                        schedule.loop_.name
-                    );
-                    return Ok(schedule);
-                }
-                Outcome::Infeasible => {}
-                Outcome::Budget => proved_all_below = false,
+    let ddg = DataDepGraph::build(loop_);
+    // Ops in mixed load/store sets get the NL0 treatment (II-independent,
+    // so computed once for the whole II sweep).
+    let banned = mixed_set_members(loop_);
+    let mut proved_all_below = true;
+    for ii in sms.mii..sms.ii() {
+        match Search::run(loop_, cfg, &ddg, &banned, mode, cost, ii, node_budget) {
+            Outcome::Found(schedule) => {
+                let mut schedule = *schedule;
+                schedule.mii = sms.mii;
+                schedule.ii_proof = if proved_all_below {
+                    IiProof::Optimal
+                } else {
+                    IiProof::Truncated
+                };
+                debug_assert_eq!(
+                    schedule.validate(cfg),
+                    Ok(()),
+                    "exact backend emitted an illegal schedule for '{}'",
+                    schedule.loop_.name
+                );
+                return Ok(schedule);
             }
+            Outcome::Infeasible => {}
+            Outcome::Budget => proved_all_below = false,
         }
-
-        // No II below the heuristic's is feasible (or provable): the SMS
-        // schedule stands, now with a settled proof status.
-        let mut sms = sms;
-        sms.ii_proof = if proved_all_below {
-            IiProof::Optimal
-        } else {
-            IiProof::Truncated
-        };
-        Ok(sms)
     }
+
+    // No II below the heuristic's is feasible (or provable): the SMS
+    // schedule stands, now with a settled proof status.
+    let mut sms = sms;
+    sms.ii_proof = if proved_all_below {
+        IiProof::Optimal
+    } else {
+        IiProof::Truncated
+    };
+    Ok(sms)
 }
 
 /// Per-op latency in the exact model: `base` everywhere except in the
@@ -845,13 +782,15 @@ mod tests {
         }
     }
 
+    fn schedule(kind: BackendKind, l: &LoopNest, c: &MachineConfig, mode: Mode) -> Schedule {
+        kind.schedule(l, c, mode, AssignmentPolicy::default(), &StaticDistance)
+            .unwrap()
+    }
+
     #[test]
     fn labels_are_distinct_and_stable() {
-        assert_eq!(SmsBackend.label(), "sms");
-        assert_eq!(ExactBackend::default().label(), "exact");
-        for kind in BackendKind::ALL {
-            assert_eq!(kind.as_backend().label(), kind.label());
-        }
+        let labels: Vec<&str> = BackendKind::ALL.iter().map(|k| k.label()).collect();
+        assert_eq!(labels, ["sms", "exact"]);
     }
 
     #[test]
@@ -864,47 +803,12 @@ mod tests {
     }
 
     #[test]
-    fn sms_backend_is_engine_run() {
-        let l = LoopBuilder::new("ew").trip_count(64).elementwise(2).build();
-        let c = cfg();
-        let via_backend = SmsBackend
-            .schedule(
-                &l,
-                &c,
-                l0_mode(),
-                AssignmentPolicy::default(),
-                &StaticDistance,
-            )
-            .unwrap();
-        let via_engine = engine::run(&l, &c, l0_mode()).unwrap();
-        assert_eq!(via_backend.ii(), via_engine.ii());
-        assert_eq!(via_backend.mii, via_engine.mii);
-        assert_eq!(via_backend.placements, via_engine.placements);
-    }
-
-    #[test]
     fn exact_equals_sms_when_sms_hits_the_mii() {
         let l = LoopBuilder::new("ew").trip_count(64).elementwise(2).build();
         let c = cfg();
-        let sms = SmsBackend
-            .schedule(
-                &l,
-                &c,
-                l0_mode(),
-                AssignmentPolicy::default(),
-                &StaticDistance,
-            )
-            .unwrap();
+        let sms = schedule(BackendKind::Sms, &l, &c, l0_mode());
         assert_eq!(sms.ii(), sms.mii, "precondition: SMS achieves the MII");
-        let exact = ExactBackend::default()
-            .schedule(
-                &l,
-                &c,
-                l0_mode(),
-                AssignmentPolicy::default(),
-                &StaticDistance,
-            )
-            .unwrap();
+        let exact = schedule(BackendKind::Exact, &l, &c, l0_mode());
         assert_eq!(exact.ii(), sms.ii());
         assert_eq!(exact.ii_proof, IiProof::Optimal);
     }
@@ -919,24 +823,8 @@ mod tests {
             .int_overhead(3)
             .build();
         let c = cfg();
-        let sms = SmsBackend
-            .schedule(
-                &l,
-                &c,
-                l0_mode(),
-                AssignmentPolicy::default(),
-                &StaticDistance,
-            )
-            .unwrap();
-        let exact = ExactBackend::default()
-            .schedule(
-                &l,
-                &c,
-                l0_mode(),
-                AssignmentPolicy::default(),
-                &StaticDistance,
-            )
-            .unwrap();
+        let sms = schedule(BackendKind::Sms, &l, &c, l0_mode());
+        let exact = schedule(BackendKind::Exact, &l, &c, l0_mode());
         assert!(exact.ii() >= exact.mii, "II below the MII is impossible");
         assert!(
             exact.ii() <= sms.ii(),
@@ -971,15 +859,7 @@ mod tests {
             } else {
                 c.without_l0()
             };
-            let s = ExactBackend::default()
-                .schedule(
-                    &l,
-                    &base_cfg,
-                    mode,
-                    AssignmentPolicy::default(),
-                    &StaticDistance,
-                )
-                .unwrap();
+            let s = schedule(BackendKind::Exact, &l, &base_cfg, mode);
             s.validate(&base_cfg).unwrap();
             assert!(s.ii() >= s.mii);
         }
@@ -993,25 +873,16 @@ mod tests {
             .int_overhead(3)
             .build();
         let c = cfg();
-        let starved = ExactBackend { node_budget: 1 };
-        let sms = SmsBackend
-            .schedule(
-                &l,
-                &c,
-                l0_mode(),
-                AssignmentPolicy::default(),
-                &StaticDistance,
-            )
-            .unwrap();
-        let s = starved
-            .schedule(
-                &l,
-                &c,
-                l0_mode(),
-                AssignmentPolicy::default(),
-                &StaticDistance,
-            )
-            .unwrap();
+        let sms = schedule(BackendKind::Sms, &l, &c, l0_mode());
+        let s = exact_schedule(
+            &l,
+            &c,
+            l0_mode(),
+            AssignmentPolicy::default(),
+            &StaticDistance,
+            1,
+        )
+        .unwrap();
         assert!(s.ii() <= sms.ii(), "fallback never regresses SMS");
         if s.ii() > s.mii {
             assert_eq!(s.ii_proof, IiProof::Truncated);

@@ -1,21 +1,23 @@
-//! End-to-end compilation drivers for the four target architectures.
+//! End-to-end compilation for the four target architectures.
 //!
-//! Each driver runs the full pipeline of §4.3:
+//! Every compile runs the fixed sequence of §4.3:
 //!
 //! 1. code specialization (drop always-false conservative dependences),
 //! 2. unroll-factor selection (1 vs. N, by statically-estimated compute
 //!    time — the same heuristic for every architecture so comparisons are
 //!    not biased by unrolling, §5.1),
-//! 3. cluster assignment + modulo scheduling (a pluggable
-//!    [`SchedulerBackend`](crate::backend::SchedulerBackend);
-//!    [`SmsBackend`](crate::backend::SmsBackend) by default),
+//! 3. cluster assignment + modulo scheduling
+//!    ([`BackendKind::schedule`]: the SMS heuristic by default, or the
+//!    exact search),
 //! 4. hint assignment (L0 target only),
 //! 5. explicit prefetch insertion for "other"-stride L0 loads,
 //!    plus the inter-loop flush (`invalidate_buffer` on exit).
 //!
-//! The drivers are reached through a [`CompileRequest`]: one builder that
-//! owns every compilation knob (architecture, backend, marking, coherence,
-//! specialization, unrolling) and is the only compile entry point.
+//! It is reached through a [`CompileRequest`]: one builder that owns
+//! every compilation knob (architecture, backend, marking, coherence,
+//! specialization, unrolling) and is the only compile entry point. This
+//! module holds the request and the per-step helpers; the straight-line
+//! driver that sequences them is in [`crate::passes`].
 
 use crate::backend::BackendKind;
 use crate::coherence::CoherencePolicy;
@@ -23,7 +25,7 @@ use crate::cost::{Observed, PlacementCost, StaticDistance};
 use crate::engine::{AssignmentPolicy, Mode, ScheduleError};
 use crate::hints::assign_hints;
 use crate::mrt::ModuloReservationTable;
-use crate::passes::{direct_pipeline, PassCtx, PassManager, PassStat, VerifyLevel};
+use crate::passes::VerifyLevel;
 use crate::schedule::{PrefetchSlot, Schedule};
 use serde::{Deserialize, Serialize};
 use vliw_ir::{specialize, stride, LoopNest, StrideClass};
@@ -105,10 +107,8 @@ pub struct CompileRequest {
     /// pre-profile artifact deserializes to) keeps compilation bit-exact
     /// with the static pipeline.
     pub profile: Option<Profile>,
-    /// Static verification level the pass pipeline runs under. `None`
-    /// (the default, and the value every pre-verify artifact
-    /// deserializes to) means [`VerifyLevel::Debug`].
-    pub verify: Option<VerifyLevel>,
+    /// Static verification level the driver's `verify` pass runs under.
+    pub verify: VerifyLevel,
 }
 
 impl CompileRequest {
@@ -123,7 +123,7 @@ impl CompileRequest {
             unroll: UnrollPolicy::default(),
             assignment: AssignmentPolicy::default(),
             profile: None,
-            verify: None,
+            verify: VerifyLevel::default(),
         }
     }
 
@@ -139,16 +139,6 @@ impl CompileRequest {
     pub fn assignment(mut self, assignment: AssignmentPolicy) -> Self {
         self.assignment = assignment;
         self
-    }
-
-    /// Shorthand for toggling [`AssignmentPolicy::ContentionAware`].
-    #[must_use]
-    pub fn contention_aware(self, on: bool) -> Self {
-        self.assignment(if on {
-            AssignmentPolicy::ContentionAware
-        } else {
-            AssignmentPolicy::ContentionBlind
-        })
     }
 
     /// Sets the candidate-marking policy.
@@ -193,17 +183,11 @@ impl CompileRequest {
         self
     }
 
-    /// Sets the static verification level the pass pipeline runs under.
+    /// Sets the static verification level the driver runs under.
     #[must_use]
     pub fn verify(mut self, level: VerifyLevel) -> Self {
-        self.verify = Some(level);
+        self.verify = level;
         self
-    }
-
-    /// The effective verification level: [`VerifyLevel::Debug`] unless
-    /// the request set one explicitly.
-    pub fn verify_level(&self) -> VerifyLevel {
-        self.verify.unwrap_or_default()
     }
 
     /// The full profile-guided recompilation setup in one call: attach
@@ -325,8 +309,8 @@ impl CompileRequest {
         }
     }
 
-    /// Compiles one loop — the single arch×backend→driver dispatch point,
-    /// running the direct pass pipeline under a [`PassManager`].
+    /// Compiles one loop — the single arch×backend dispatch point (see
+    /// [`crate::passes`] for the steps it runs).
     ///
     /// Architectures without L0 buffers are compiled against
     /// `cfg.without_l0()`, so callers always pass the full machine
@@ -342,24 +326,6 @@ impl CompileRequest {
         cfg: &MachineConfig,
     ) -> Result<Schedule, ScheduleError> {
         self.compile_with_stats(loop_, cfg).map(|(s, _)| s)
-    }
-
-    /// [`CompileRequest::compile`], also returning the per-pass
-    /// wall-clock stats the [`PassManager`] collected.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileRequest::compile`].
-    pub fn compile_with_stats(
-        &self,
-        loop_: &LoopNest,
-        cfg: &MachineConfig,
-    ) -> Result<(Schedule, Vec<PassStat>), ScheduleError> {
-        let mut manager = PassManager::new(self.verify_level());
-        let mut ctx = PassCtx::new(self, cfg, loop_);
-        manager.run_pipeline(&direct_pipeline(self.verify_level()), &mut ctx)?;
-        let schedule = ctx.winner.take().expect("select-unroll leaves a winner");
-        Ok((schedule, manager.into_stats()))
     }
 
     /// [`CompileRequest::compile`] for loops that are schedulable by

@@ -42,9 +42,9 @@ pub enum ScheduleError {
     },
     /// The machine configuration is invalid for this scheduler.
     BadConfig(String),
-    /// A failure attributed to a named pipeline pass (attached by the
-    /// [`PassManager`](crate::passes::PassManager) so shard-side failures
-    /// stay attributable through the compile service).
+    /// A failure attributed to a named compile pass (attached by the
+    /// [`crate::passes`] driver so shard-side failures stay attributable
+    /// through the compile service).
     InPass {
         /// Name of the pass that failed.
         pass: String,
@@ -917,23 +917,12 @@ pub(crate) fn preferred_owner(
     }
 }
 
-/// Runs the engine: II search loop over `try_schedule` (§4.3 step 3),
-/// with the paper's distance-blind cluster ordering and static costs.
-pub fn run(loop_: &LoopNest, cfg: &MachineConfig, mode: Mode) -> Result<Schedule, ScheduleError> {
-    run_with(
-        loop_,
-        cfg,
-        mode,
-        AssignmentPolicy::ContentionBlind,
-        &crate::cost::StaticDistance,
-    )
-}
-
-/// [`run`] with an explicit cluster-assignment policy and placement-cost
-/// model (the [`StaticDistance`](crate::cost::StaticDistance) model is
-/// bit-exact with the paper's scheduler; an
-/// [`Observed`](crate::cost::Observed) model closes the profile-guided
-/// loop).
+/// Runs the engine: II search loop over `try_schedule` (§4.3 step 3)
+/// under a cluster-assignment policy and placement-cost model
+/// ([`AssignmentPolicy::ContentionBlind`] with
+/// [`StaticDistance`](crate::cost::StaticDistance) is the paper's
+/// scheduler bit-exactly; an [`Observed`](crate::cost::Observed) model
+/// closes the profile-guided loop).
 pub fn run_with(
     loop_: &LoopNest,
     cfg: &MachineConfig,
@@ -1211,6 +1200,16 @@ mod tests {
 
     fn cfg() -> MachineConfig {
         MachineConfig::micro2003()
+    }
+
+    fn run(l: &LoopNest, c: &MachineConfig, mode: Mode) -> Result<Schedule, ScheduleError> {
+        run_with(
+            l,
+            c,
+            mode,
+            AssignmentPolicy::ContentionBlind,
+            &crate::cost::StaticDistance,
+        )
     }
 
     #[test]

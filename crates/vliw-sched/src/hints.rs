@@ -217,9 +217,19 @@ mod tests {
     use super::*;
     use crate::coherence::CoherencePolicy;
     use crate::cost::StaticDistance;
-    use crate::engine::{run, MarkPolicy, Mode};
-    use vliw_ir::LoopBuilder;
+    use crate::engine::{run_with, AssignmentPolicy, MarkPolicy, Mode, ScheduleError};
+    use vliw_ir::{LoopBuilder, LoopNest};
     use vliw_machine::{ClusterId, MachineConfig};
+
+    fn run(l: &LoopNest, cfg: &MachineConfig, mode: Mode) -> Result<Schedule, ScheduleError> {
+        run_with(
+            l,
+            cfg,
+            mode,
+            AssignmentPolicy::ContentionBlind,
+            &StaticDistance,
+        )
+    }
 
     fn l0_mode() -> Mode {
         Mode::L0 {

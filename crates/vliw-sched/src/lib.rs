@@ -21,17 +21,15 @@
 //!   harvested [`Profile`](vliw_machine::Profile) weighs routes by
 //!   measured link stalls and bank queueing) behind one
 //!   [`PlacementCost`] trait.
-//! * [`backend`] — the pluggable [`SchedulerBackend`] axis: [`SmsBackend`]
-//!   (the paper's heuristic, default) and [`ExactBackend`] (branch-and-
-//!   bound search for provably-minimal IIs, an offline SMT-solver
-//!   stand-in).
-//! * [`compile`] — the end-to-end drivers behind the [`CompileRequest`]
-//!   builder, the only compile entry point, and the unroll-factor
-//!   selection of step 1.
-//! * [`passes`] — the explicit pass pipeline the drivers run on: a
-//!   [`Pass`] trait, a [`PassManager`] with per-pass timing and failure
-//!   attribution, and the [`VerifyLevel`] knob gating the static
-//!   legality re-check.
+//! * [`backend`] — the two schedulers behind [`BackendKind::schedule`]:
+//!   SMS (the paper's heuristic, default) and an exact branch-and-bound
+//!   search for provably-minimal IIs (an offline SMT-solver stand-in).
+//! * [`compile`] — the [`CompileRequest`] builder, the only compile
+//!   entry point, and the per-step helpers (lowering, the unroll-factor
+//!   selection of step 1, the L0 tail of steps 4–5).
+//! * [`passes`] — the straight-line compile driver: named passes with
+//!   per-pass timing ([`PassStat`]) and failure attribution, and the
+//!   [`VerifyLevel`] knob gating the static legality re-check.
 //!
 //! # Example
 //!
@@ -75,12 +73,12 @@ pub mod sms;
 pub mod symbolic;
 
 pub use arch::Arch;
-pub use backend::{BackendKind, ExactBackend, SchedulerBackend, SmsBackend};
+pub use backend::BackendKind;
 pub use coherence::{CoherencePolicy, CoherenceSolution};
 pub use compile::{CompileRequest, L0Options, MarkPolicy, UnrollPolicy};
 pub use cost::{base_loop_name, Observed, PlacementCost, StaticDistance};
 pub use engine::{AssignmentPolicy, ScheduleError};
 pub use flush::{apply_selective_flushing, needs_flush_between};
-pub use passes::{merge_pass_stats, Pass, PassCtx, PassManager, PassStat, VerifyLevel};
+pub use passes::{merge_pass_stats, PassStat, VerifyLevel};
 pub use schedule::{IiProof, Placement, PrefetchSlot, ReplicaSlot, Schedule};
 pub use symbolic::SymbolicArtifact;

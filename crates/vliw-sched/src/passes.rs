@@ -1,13 +1,13 @@
-//! The explicit pass pipeline behind [`CompileRequest`].
+//! The compile driver behind [`CompileRequest`]: one straight-line
+//! sequence of named steps ("passes").
 //!
-//! The monolithic driver of `compile.rs` is restructured into named
-//! passes run by a [`PassManager`]: the manager times every pass,
-//! accumulates [`PassStat`]s, and attaches the failing pass's name to
-//! any [`ScheduleError`] that escapes ([`ScheduleError::InPass`]), so a
-//! failure that bubbles all the way through the compile service still
-//! says *which stage* gave up.
+//! Every step runs through one helper that times it, records a
+//! [`PassStat`] and attaches the step's name to any [`ScheduleError`]
+//! that escapes ([`ScheduleError::InPass`]), so a failure that bubbles
+//! all the way through the compile service still says *which stage*
+//! gave up.
 //!
-//! The pass boundaries sit at the driver altitude of §4.3:
+//! The steps sit at the driver altitude of §4.3:
 //!
 //! | pass | stage |
 //! |---|---|
@@ -16,37 +16,54 @@
 //! | `lower`             | specialization + per-arch dispatch (machine view, mode) |
 //! | `schedule-flat`     | backend run on the un-unrolled body |
 //! | `schedule-unrolled` | backend run on the unrolled-by-N candidate |
-//! | `select-unroll`     | step 1's flat-vs-unrolled tie-break |
+//! | `select-unroll`     | direct compiles only: step 1's flat-vs-unrolled tie-break |
 //! | `finish-l0`         | hint assignment + explicit prefetches + flush |
 //! | `verify`            | static legality re-check ([`Schedule::validate`]) |
+//!
+//! [`CompileRequest::compile_with_stats`] and
+//! [`CompileRequest::compile_symbolic_with_stats`] share the front half
+//! (check-profile → lower → schedule-flat → schedule-unrolled) and the
+//! tail (finish-l0 → verify).
 //!
 //! Cluster assignment, modulo scheduling and candidate marking stay
 //! *fused inside* the schedule passes: Figure 4 interleaves them per op
 //! (place → mark related → consume entries → re-mark), so splitting them
-//! into sequential passes would change every schedule. The pipeline is
-//! bit-exact with the pre-pass driver — pinned by the golden sweeps.
+//! into sequential passes would change every schedule. The driver is
+//! bit-exact with the golden sweeps.
 
-use crate::compile::{unroll_eligible, unrolled_wins, CompileRequest, Lowered};
+use crate::compile::{finish_l0, unroll_eligible, unrolled_wins, CompileRequest, Lowered};
 use crate::cost::PlacementCost;
 use crate::engine::ScheduleError;
 use crate::schedule::Schedule;
+use crate::symbolic::SymbolicArtifact;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use vliw_ir::{normalize_trips, unroll, LoopNest};
 use vliw_machine::MachineConfig;
 
-/// How much static verification runs inside the compile pipeline.
+/// How much static verification the compile driver's `verify` pass runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum VerifyLevel {
-    /// No checks beyond what the engine itself asserts.
-    Off,
     /// `debug_assert` the legality re-check (free in release builds) —
-    /// the default, bit-exact with the pre-pass pipeline.
+    /// the default.
     #[default]
     Debug,
     /// Hard-error on any legality violation, in release builds too (the
     /// CI `verify --full` gate compiles the whole suite at this level).
     Full,
+}
+
+impl VerifyLevel {
+    /// Re-checks one finished schedule against `cfg` at this level.
+    fn check(self, s: &Schedule, cfg: &MachineConfig) -> Result<(), ScheduleError> {
+        match self {
+            VerifyLevel::Debug => {
+                debug_assert_eq!(s.validate(cfg), Ok(()), "loop '{}'", s.loop_.name);
+                Ok(())
+            }
+            VerifyLevel::Full => s.validate(cfg).map_err(ScheduleError::BadConfig),
+        }
+    }
 }
 
 /// Wall-clock accounting for one named pass, merged across invocations.
@@ -75,342 +92,156 @@ pub fn merge_pass_stats(into: &mut Vec<PassStat>, from: &[PassStat]) {
     }
 }
 
-/// The mutable state one compilation threads through the pipeline.
-pub struct PassCtx<'a> {
-    /// The request being compiled.
-    pub request: &'a CompileRequest,
-    /// The full machine configuration the caller passed.
-    pub machine: &'a MachineConfig,
-    /// The input loop, untouched.
-    pub input: &'a LoopNest,
-    pub(crate) cost: Box<dyn PlacementCost + 'a>,
-    pub(crate) normalized: Option<LoopNest>,
-    pub(crate) lowered: Option<Lowered>,
-    pub(crate) flat: Option<Schedule>,
-    pub(crate) unrolled: Option<Schedule>,
-    pub(crate) winner: Option<Schedule>,
+/// Runs one named step: times it, records its [`PassStat`] and wraps any
+/// error with the step's name.
+fn stage<T>(
+    stats: &mut Vec<PassStat>,
+    name: &str,
+    step: impl FnOnce() -> Result<T, ScheduleError>,
+) -> Result<T, ScheduleError> {
+    let start = Instant::now();
+    let out = step();
+    stats.push(PassStat {
+        name: name.to_string(),
+        calls: 1,
+        micros: start.elapsed().as_micros() as u64,
+    });
+    out.map_err(|e| e.in_pass(name))
 }
 
-impl<'a> PassCtx<'a> {
-    pub(crate) fn new(
-        request: &'a CompileRequest,
-        machine: &'a MachineConfig,
-        input: &'a LoopNest,
-    ) -> Self {
-        PassCtx {
-            request,
-            machine,
-            input,
-            cost: request.cost(),
-            normalized: None,
-            lowered: None,
-            flat: None,
-            unrolled: None,
-            winner: None,
-        }
-    }
-
-    /// The loop the lowering pass consumes: the trip-normalized template
-    /// when `normalize-trips` ran, the raw input otherwise.
-    fn lower_input(&self) -> &LoopNest {
-        self.normalized.as_ref().unwrap_or(self.input)
-    }
-
-    fn lowered(&self) -> &Lowered {
-        self.lowered.as_ref().expect("lower pass ran")
-    }
+/// The lowered request and its two step-1 candidates, before the L0 tail.
+struct Candidates {
+    lowered: Lowered,
+    flat: Schedule,
+    unrolled: Option<Schedule>,
 }
 
-/// One named stage of the compile pipeline.
-pub trait Pass {
-    /// Stable pass name (used in stats, error attribution and CI
-    /// artifacts).
-    fn name(&self) -> &'static str;
-    /// Runs the pass over the shared context.
+impl CompileRequest {
+    /// [`CompileRequest::compile`], also returning the per-pass
+    /// wall-clock stats.
     ///
     /// # Errors
     ///
-    /// Any [`ScheduleError`]; the [`PassManager`] attaches this pass's
-    /// name before the error escapes the pipeline.
-    fn run(&self, ctx: &mut PassCtx<'_>) -> Result<(), ScheduleError>;
-}
-
-/// Runs passes in order, timing each and attributing failures.
-pub struct PassManager {
-    level: VerifyLevel,
-    stats: Vec<PassStat>,
-}
-
-impl PassManager {
-    /// A manager verifying at `level`.
-    pub fn new(level: VerifyLevel) -> Self {
-        PassManager {
-            level,
-            stats: Vec::new(),
-        }
-    }
-
-    /// The verification level the pipeline runs under.
-    pub fn level(&self) -> VerifyLevel {
-        self.level
-    }
-
-    /// Runs one pass: times it, folds the timing into the stats, and
-    /// wraps any error with the pass name.
-    ///
-    /// # Errors
-    ///
-    /// The pass's error, wrapped as [`ScheduleError::InPass`].
-    pub fn run_pass(
-        &mut self,
-        pass: &dyn Pass,
-        ctx: &mut PassCtx<'_>,
-    ) -> Result<(), ScheduleError> {
-        let start = Instant::now();
-        let out = pass.run(ctx);
-        let micros = start.elapsed().as_micros() as u64;
-        merge_pass_stats(
-            &mut self.stats,
-            &[PassStat {
-                name: pass.name().to_string(),
-                calls: 1,
-                micros,
-            }],
-        );
-        out.map_err(|e| e.in_pass(pass.name()))
-    }
-
-    /// Runs a whole pipeline over `ctx`, stopping at the first failure.
-    ///
-    /// # Errors
-    ///
-    /// The first failing pass's error (see [`PassManager::run_pass`]).
-    pub fn run_pipeline(
-        &mut self,
-        passes: &[Box<dyn Pass>],
-        ctx: &mut PassCtx<'_>,
-    ) -> Result<(), ScheduleError> {
-        for pass in passes {
-            self.run_pass(pass.as_ref(), ctx)?;
-        }
-        Ok(())
-    }
-
-    /// The accumulated per-pass stats.
-    pub fn stats(&self) -> &[PassStat] {
-        &self.stats
-    }
-
-    /// Consumes the manager, yielding its stats.
-    pub fn into_stats(self) -> Vec<PassStat> {
-        self.stats
-    }
-}
-
-/// `check-profile`: reject profiles harvested on a different machine.
-struct CheckProfile;
-
-impl Pass for CheckProfile {
-    fn name(&self) -> &'static str {
-        "check-profile"
-    }
-    fn run(&self, ctx: &mut PassCtx<'_>) -> Result<(), ScheduleError> {
-        ctx.request.check_profile(ctx.machine)
-    }
-}
-
-/// `normalize-trips` (symbolic templates only): pin the canonical trip
-/// count so the template is bound-independent.
-struct NormalizeTrips;
-
-impl Pass for NormalizeTrips {
-    fn name(&self) -> &'static str {
-        "normalize-trips"
-    }
-    fn run(&self, ctx: &mut PassCtx<'_>) -> Result<(), ScheduleError> {
-        let (template, _) = normalize_trips(ctx.input);
-        ctx.normalized = Some(template);
-        Ok(())
-    }
-}
-
-/// `lower`: specialization + the per-architecture dispatch.
-struct Lower;
-
-impl Pass for Lower {
-    fn name(&self) -> &'static str {
-        "lower"
-    }
-    fn run(&self, ctx: &mut PassCtx<'_>) -> Result<(), ScheduleError> {
-        let lowered = ctx.request.lower(ctx.lower_input(), ctx.machine)?;
-        ctx.lowered = Some(lowered);
-        Ok(())
-    }
-}
-
-/// `schedule-flat`: the backend run on the un-unrolled body (cluster
-/// assignment, modulo scheduling and candidate marking fused, per
-/// Figure 4).
-struct ScheduleFlat;
-
-impl Pass for ScheduleFlat {
-    fn name(&self) -> &'static str {
-        "schedule-flat"
-    }
-    fn run(&self, ctx: &mut PassCtx<'_>) -> Result<(), ScheduleError> {
-        let lowered = ctx.lowered.as_ref().expect("lower pass ran");
-        let backend = ctx.request.backend.as_backend();
-        let flat = backend.schedule(
-            &lowered.loop_,
-            &lowered.cfg,
-            lowered.mode,
-            ctx.request.assignment,
-            ctx.cost.as_ref(),
-        )?;
-        ctx.flat = Some(flat);
-        Ok(())
-    }
-}
-
-/// `schedule-unrolled`: the unrolled-by-N candidate, when step 1's
-/// eligibility gate admits one. A backend failure here is *not* a
-/// pipeline failure — the driver falls back to the flat schedule, same
-/// as the pre-pass pipeline.
-struct ScheduleUnrolled;
-
-impl Pass for ScheduleUnrolled {
-    fn name(&self) -> &'static str {
-        "schedule-unrolled"
-    }
-    fn run(&self, ctx: &mut PassCtx<'_>) -> Result<(), ScheduleError> {
-        let lowered = ctx.lowered.as_ref().expect("lower pass ran");
+    /// See [`CompileRequest::compile`].
+    pub fn compile_with_stats(
+        &self,
+        loop_: &LoopNest,
+        cfg: &MachineConfig,
+    ) -> Result<(Schedule, Vec<PassStat>), ScheduleError> {
+        let mut stats = Vec::new();
+        let cost = self.cost();
+        let Candidates {
+            lowered,
+            flat,
+            unrolled,
+        } = self.candidates(&mut stats, loop_, cfg, cost.as_ref(), false)?;
         let n = lowered.cfg.clusters;
-        if !unroll_eligible(ctx.request.unroll, n, lowered.loop_.trip_count) {
-            return Ok(());
-        }
-        let backend = ctx.request.backend.as_backend();
-        ctx.unrolled = backend
-            .schedule(
-                &unroll(&lowered.loop_, n),
-                &lowered.cfg,
-                lowered.mode,
-                ctx.request.assignment,
-                ctx.cost.as_ref(),
+        let mut winner = stage(&mut stats, "select-unroll", || {
+            Ok(match unrolled {
+                Some(u) if unrolled_wins(&flat, &u, n) => u,
+                _ => flat,
+            })
+        })?;
+        self.finish(&mut stats, &lowered, cost.as_ref(), &mut [&mut winner])?;
+        Ok((winner, stats))
+    }
+
+    /// [`CompileRequest::compile_symbolic`], also returning the per-pass
+    /// wall-clock stats.
+    ///
+    /// The template has no `select-unroll` pass — the canonical trip
+    /// count (2^20) exceeds any practical cluster count, so template
+    /// eligibility collapses to the policy and cluster-count terms, and
+    /// the real trip count re-gates the flat-vs-unrolled decision at
+    /// instantiation. `finish-l0` and `verify` run on both candidates.
+    ///
+    /// # Errors
+    ///
+    /// See [`CompileRequest::compile_symbolic`].
+    pub fn compile_symbolic_with_stats(
+        &self,
+        loop_: &LoopNest,
+        cfg: &MachineConfig,
+    ) -> Result<(SymbolicArtifact, Vec<PassStat>), ScheduleError> {
+        let mut stats = Vec::new();
+        let cost = self.cost();
+        let Candidates {
+            lowered,
+            mut flat,
+            mut unrolled,
+        } = self.candidates(&mut stats, loop_, cfg, cost.as_ref(), true)?;
+        let mut outputs: Vec<&mut Schedule> = std::iter::once(&mut flat)
+            .chain(unrolled.as_mut())
+            .collect();
+        self.finish(&mut stats, &lowered, cost.as_ref(), &mut outputs)?;
+        Ok((SymbolicArtifact { flat, unrolled }, stats))
+    }
+
+    /// check-profile → (normalize-trips, when `normalize`) → lower →
+    /// schedule-flat → schedule-unrolled.
+    fn candidates(
+        &self,
+        stats: &mut Vec<PassStat>,
+        input: &LoopNest,
+        cfg: &MachineConfig,
+        cost: &dyn PlacementCost,
+        normalize: bool,
+    ) -> Result<Candidates, ScheduleError> {
+        stage(stats, "check-profile", || self.check_profile(cfg))?;
+        let template;
+        let input = if normalize {
+            template = stage(stats, "normalize-trips", || Ok(normalize_trips(input).0))?;
+            &template
+        } else {
+            input
+        };
+        let lowered = stage(stats, "lower", || self.lower(input, cfg))?;
+        let schedule = |l: &LoopNest| {
+            self.backend
+                .schedule(l, &lowered.cfg, lowered.mode, self.assignment, cost)
+        };
+        let flat = stage(stats, "schedule-flat", || schedule(&lowered.loop_))?;
+        // A failed unrolled candidate is not a compile failure: the
+        // driver falls back to the flat schedule.
+        let n = lowered.cfg.clusters;
+        let unrolled = stage(stats, "schedule-unrolled", || {
+            Ok(
+                if unroll_eligible(self.unroll, n, lowered.loop_.trip_count) {
+                    schedule(&unroll(&lowered.loop_, n)).ok()
+                } else {
+                    None
+                },
             )
-            .ok();
-        Ok(())
+        })?;
+        Ok(Candidates {
+            lowered,
+            flat,
+            unrolled,
+        })
     }
-}
 
-/// `select-unroll`: step 1's tie-break — the unrolled candidate wins
-/// only when strictly cheaper per original iteration.
-struct SelectUnroll;
-
-impl Pass for SelectUnroll {
-    fn name(&self) -> &'static str {
-        "select-unroll"
-    }
-    fn run(&self, ctx: &mut PassCtx<'_>) -> Result<(), ScheduleError> {
-        let flat = ctx.flat.take().expect("schedule-flat pass ran");
-        let n = ctx.lowered().cfg.clusters;
-        ctx.winner = Some(match ctx.unrolled.take() {
-            Some(u) if unrolled_wins(&flat, &u, n) => u,
-            _ => flat,
-        });
-        Ok(())
-    }
-}
-
-/// `finish-l0`: steps 4–5 (hints, explicit prefetches, inter-loop
-/// flush) on every finished candidate still in the context — the
-/// selected winner on the direct path, both template candidates on the
-/// symbolic path.
-struct FinishL0;
-
-impl Pass for FinishL0 {
-    fn name(&self) -> &'static str {
-        "finish-l0"
-    }
-    fn run(&self, ctx: &mut PassCtx<'_>) -> Result<(), ScheduleError> {
-        if !ctx.lowered().l0_tail {
-            return Ok(());
-        }
-        let cfg = ctx.lowered().cfg.clone();
-        let cost = ctx.cost.as_ref();
-        if let Some(s) = ctx.winner.as_mut() {
-            crate::compile::finish_l0(s, &cfg, cost);
-        }
-        if let Some(s) = ctx.flat.as_mut() {
-            crate::compile::finish_l0(s, &cfg, cost);
-        }
-        if let Some(s) = ctx.unrolled.as_mut() {
-            crate::compile::finish_l0(s, &cfg, cost);
-        }
-        Ok(())
-    }
-}
-
-/// `verify`: the static legality re-check over every finished schedule
-/// in the context, honoring the request's [`VerifyLevel`].
-struct Verify {
-    level: VerifyLevel,
-}
-
-impl Pass for Verify {
-    fn name(&self) -> &'static str {
-        "verify"
-    }
-    fn run(&self, ctx: &mut PassCtx<'_>) -> Result<(), ScheduleError> {
-        if self.level == VerifyLevel::Off {
-            return Ok(());
-        }
-        let cfg = &ctx.lowered().cfg;
-        let outputs = [
-            ctx.winner.as_ref(),
-            ctx.flat.as_ref(),
-            ctx.unrolled.as_ref(),
-        ];
-        for s in outputs.into_iter().flatten() {
-            match self.level {
-                VerifyLevel::Off => {}
-                VerifyLevel::Debug => {
-                    debug_assert_eq!(s.validate(cfg), Ok(()), "loop '{}'", s.loop_.name);
-                }
-                VerifyLevel::Full => {
-                    s.validate(cfg).map_err(ScheduleError::BadConfig)?;
+    /// finish-l0 → verify, over every schedule the driver hands out.
+    fn finish(
+        &self,
+        stats: &mut Vec<PassStat>,
+        lowered: &Lowered,
+        cost: &dyn PlacementCost,
+        outputs: &mut [&mut Schedule],
+    ) -> Result<(), ScheduleError> {
+        stage(stats, "finish-l0", || {
+            if lowered.l0_tail {
+                for s in outputs.iter_mut() {
+                    finish_l0(s, &lowered.cfg, cost);
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        })?;
+        stage(stats, "verify", || {
+            outputs
+                .iter()
+                .try_for_each(|s| self.verify.check(s, &lowered.cfg))
+        })
     }
-}
-
-/// The direct pipeline behind [`CompileRequest::compile`].
-pub(crate) fn direct_pipeline(level: VerifyLevel) -> Vec<Box<dyn Pass>> {
-    vec![
-        Box::new(CheckProfile),
-        Box::new(Lower),
-        Box::new(ScheduleFlat),
-        Box::new(ScheduleUnrolled),
-        Box::new(SelectUnroll),
-        Box::new(FinishL0),
-        Box::new(Verify { level }),
-    ]
-}
-
-/// The template pipeline behind [`CompileRequest::compile_symbolic`]:
-/// no `select-unroll` (the flat-vs-unrolled decision is replayed per
-/// instantiation with the real trip count), both candidates finished.
-pub(crate) fn symbolic_pipeline(level: VerifyLevel) -> Vec<Box<dyn Pass>> {
-    vec![
-        Box::new(CheckProfile),
-        Box::new(NormalizeTrips),
-        Box::new(Lower),
-        Box::new(ScheduleFlat),
-        Box::new(ScheduleUnrolled),
-        Box::new(FinishL0),
-        Box::new(Verify { level }),
-    ]
 }
 
 #[cfg(test)]
@@ -437,6 +268,31 @@ mod tests {
                 "schedule-flat",
                 "schedule-unrolled",
                 "select-unroll",
+                "finish-l0",
+                "verify"
+            ]
+        );
+        assert!(stats.iter().all(|s| s.calls == 1));
+    }
+
+    #[test]
+    fn stats_cover_every_symbolic_pass_once() {
+        let l = LoopBuilder::new("ew")
+            .trip_count(256)
+            .elementwise(2)
+            .build();
+        let cfg = MachineConfig::micro2003();
+        let req = CompileRequest::new(Arch::L0);
+        let (_, stats) = req.compile_symbolic_with_stats(&l, &cfg).unwrap();
+        let names: Vec<&str> = stats.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "check-profile",
+                "normalize-trips",
+                "lower",
+                "schedule-flat",
+                "schedule-unrolled",
                 "finish-l0",
                 "verify"
             ]

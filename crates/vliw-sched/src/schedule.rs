@@ -63,8 +63,7 @@ pub struct CopySlot {
 }
 
 /// How a schedule's achieved II relates to the provable minimum — set by
-/// the [`SchedulerBackend`](crate::backend::SchedulerBackend) that
-/// produced the schedule.
+/// the [backend](crate::backend::BackendKind) that produced the schedule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum IiProof {
     /// No optimality claim: the II came from a heuristic placement order

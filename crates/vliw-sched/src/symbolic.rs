@@ -29,7 +29,6 @@
 
 use crate::compile::{unroll_eligible, unrolled_wins, CompileRequest};
 use crate::engine::ScheduleError;
-use crate::passes::{symbolic_pipeline, PassCtx, PassManager, PassStat};
 use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
 use vliw_ir::{LoopNest, TripShape};
@@ -74,31 +73,6 @@ impl CompileRequest {
         cfg: &MachineConfig,
     ) -> Result<SymbolicArtifact, ScheduleError> {
         self.compile_symbolic_with_stats(loop_, cfg).map(|(a, _)| a)
-    }
-
-    /// [`CompileRequest::compile_symbolic`], also returning the per-pass
-    /// wall-clock stats the [`PassManager`] collected.
-    ///
-    /// The template pipeline has no `select-unroll` pass — the canonical
-    /// trip count (2^20) exceeds any practical cluster count, so
-    /// template eligibility collapses to the policy and cluster-count
-    /// terms, and the real trip count re-gates the flat-vs-unrolled
-    /// decision at instantiation.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileRequest::compile_symbolic`].
-    pub fn compile_symbolic_with_stats(
-        &self,
-        loop_: &LoopNest,
-        cfg: &MachineConfig,
-    ) -> Result<(SymbolicArtifact, Vec<PassStat>), ScheduleError> {
-        let mut manager = PassManager::new(self.verify_level());
-        let mut ctx = PassCtx::new(self, cfg, loop_);
-        manager.run_pipeline(&symbolic_pipeline(self.verify_level()), &mut ctx)?;
-        let flat = ctx.flat.take().expect("schedule-flat leaves a schedule");
-        let unrolled = ctx.unrolled.take();
-        Ok((SymbolicArtifact { flat, unrolled }, manager.into_stats()))
     }
 
     /// Instantiates a cached template for a concrete [`TripShape`]:

@@ -23,8 +23,10 @@
 use crate::key::{compile_key, ArtifactKey, KeyBuilder, KeyMode};
 use crate::store::{ArtifactStore, StoreStats};
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use vliw_ir::{LoopNest, TripShape};
 use vliw_machine::MachineConfig;
@@ -143,8 +145,9 @@ impl QueueStats {
 pub struct FailureRecord {
     /// Content address of the request that failed.
     pub key: ArtifactKey,
-    /// Name of the pipeline pass that rejected it, when the error
-    /// carries one (see `ScheduleError::pass_name`).
+    /// Name of the compile pass that rejected it, when the error
+    /// carries one (see `ScheduleError::pass_name`); `None` when the
+    /// compiler panicked.
     pub pass: Option<String>,
     /// The scheduler's error, rendered.
     pub error: String,
@@ -206,6 +209,13 @@ struct QueueState<T> {
     stats: QueueStats,
 }
 
+/// Locks `m` even if a panicking thread poisoned it. Every critical
+/// section in this module is a handful of field updates that leave the
+/// state consistent, so a poisoned lock carries no meaning here.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A bounded MPSC queue: `push` blocks while full (counting the
 /// blocks), `pop` blocks while empty, `close` drains and wakes.
 struct BoundedQueue<T> {
@@ -230,10 +240,13 @@ impl<T> BoundedQueue<T> {
     }
 
     fn push(&self, item: T) {
-        let mut state = self.state.lock().unwrap();
+        let mut state = lock(&self.state);
         while state.q.len() >= self.capacity && !state.closed {
             state.stats.backpressure_waits += 1;
-            state = self.not_full.wait(state).unwrap();
+            state = self
+                .not_full
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         state.q.push_back(item);
         state.stats.max_depth = state.stats.max_depth.max(state.q.len() as u64);
@@ -242,7 +255,7 @@ impl<T> BoundedQueue<T> {
     }
 
     fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().unwrap();
+        let mut state = lock(&self.state);
         loop {
             if let Some(item) = state.q.pop_front() {
                 drop(state);
@@ -252,18 +265,31 @@ impl<T> BoundedQueue<T> {
             if state.closed {
                 return None;
             }
-            state = self.not_empty.wait(state).unwrap();
+            state = self
+                .not_empty
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     fn close(&self) {
-        self.state.lock().unwrap().closed = true;
+        lock(&self.state).closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
 
     fn stats(&self) -> QueueStats {
-        self.state.lock().unwrap().stats
+        lock(&self.state).stats
+    }
+}
+
+/// Closes a shard's queue however the shard exits, so a producer blocked
+/// on the full queue wakes instead of waiting forever.
+struct CloseOnDrop<'a, T>(&'a BoundedQueue<T>);
+
+impl<T> Drop for CloseOnDrop<'_, T> {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
@@ -320,7 +346,17 @@ fn schedule_digest(s: &Schedule) -> u64 {
     KeyBuilder::new().field("schedule", s).finish().hi
 }
 
+/// The text of a caught panic.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
 fn run_shard(queue: &BoundedQueue<Job>, config: &ServiceConfig) -> ShardOutcome {
+    let _close = CloseOnDrop(queue);
     let mut store: ArtifactStore<CachedArtifact> = ArtifactStore::new(config.store_capacity);
     let mut outcome = ShardOutcome {
         store: StoreStats::default(),
@@ -331,21 +367,30 @@ fn run_shard(queue: &BoundedQueue<Job>, config: &ServiceConfig) -> ShardOutcome 
         checksum: 0,
     };
     while let Some(job) = queue.pop() {
-        match serve(&mut store, config, &job.req) {
-            Ok(s) => {
+        // A compiler panic fails this request only. The store is safe to
+        // keep using: `serve` touches it only before and after compiling.
+        let served = panic::catch_unwind(AssertUnwindSafe(|| serve(&mut store, config, &job.req)));
+        let failure = match served {
+            Ok(Ok(s)) => {
                 outcome.served += 1;
                 if config.checksum {
                     outcome.checksum = outcome.checksum.wrapping_add(schedule_digest(&s));
                 }
+                None
             }
-            Err(e) => {
-                outcome.errors += 1;
-                outcome.failures.push(FailureRecord {
-                    key: job.req.key,
-                    pass: e.pass_name().map(str::to_string),
-                    error: e.to_string(),
-                });
-            }
+            Ok(Err(e)) => Some((e.pass_name().map(str::to_string), e.to_string())),
+            Err(payload) => Some((
+                None,
+                format!("compiler panicked: {}", panic_message(payload.as_ref())),
+            )),
+        };
+        if let Some((pass, error)) = failure {
+            outcome.errors += 1;
+            outcome.failures.push(FailureRecord {
+                key: job.req.key,
+                pass,
+                error,
+            });
         }
         outcome
             .latencies
@@ -386,7 +431,7 @@ impl CompileService {
         rayon::scope(|s| {
             for (queue, slot) in queues.iter().zip(&outcomes) {
                 s.spawn(move || {
-                    *slot.lock().unwrap() = Some(run_shard(queue, config));
+                    *lock(slot) = Some(run_shard(queue, config));
                 });
             }
             for req in requests {
@@ -413,11 +458,7 @@ impl CompileService {
         let mut failures = Vec::new();
         let mut checksum = 0u64;
         for slot in &outcomes {
-            let outcome = slot
-                .lock()
-                .unwrap()
-                .take()
-                .expect("every shard reports an outcome");
+            let outcome = lock(slot).take().expect("every shard reports an outcome");
             store = store.merged(&outcome.store);
             latencies.extend(outcome.latencies);
             served += outcome.served;
@@ -471,7 +512,7 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vliw_ir::LoopBuilder;
+    use vliw_ir::{DepEdge, DepKind, LoopBuilder, OpId};
     use vliw_sched::Arch;
 
     /// Trip-count variants of one loop body — the traffic shape the
@@ -645,6 +686,55 @@ mod tests {
             assert_eq!(f.key, expected_key);
             assert_eq!(f.pass.as_deref(), Some("lower"), "failing pass is named");
             assert!(f.error.contains("L0 configuration"), "{}", f.error);
+        }
+    }
+
+    #[test]
+    fn a_panicking_compile_fails_its_request_without_hanging_the_replay() {
+        // A dangling dependence edge panics inside the compiler. With one
+        // worker behind a capacity-1 queue, a dead shard would leave the
+        // producer blocked on the full queue forever.
+        let mut l = LoopBuilder::new("dangling")
+            .trip_count(64)
+            .elementwise(2)
+            .build();
+        l.edges.push(DepEdge {
+            src: OpId(999),
+            dst: OpId(0),
+            kind: DepKind::Reg,
+            distance: 0,
+        });
+        let machine = Arc::new(MachineConfig::micro2003());
+        let request = Arc::new(CompileRequest::new(Arch::L0));
+        let reqs: Vec<ServiceRequest> = (0..5)
+            .map(|_| {
+                ServiceRequest::new(
+                    Arc::new(l.clone()),
+                    Arc::clone(&machine),
+                    Arc::clone(&request),
+                    KeyMode::Symbolic,
+                )
+            })
+            .collect();
+        let cfg = ServiceConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..Default::default()
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let replay = std::thread::spawn(move || {
+            let _ = tx.send(CompileService::new(cfg).replay(reqs));
+        });
+        let report = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("replay returns instead of hanging");
+        replay.join().expect("replay thread exits cleanly");
+        assert_eq!(report.served, 0);
+        assert_eq!(report.errors, 5);
+        assert_eq!(report.failures.len(), 5);
+        for f in &report.failures {
+            assert_eq!(f.pass, None, "a panic names no pass");
+            assert!(f.error.starts_with("compiler panicked: "), "{}", f.error);
         }
     }
 

@@ -59,8 +59,6 @@ pub enum FfwdReason {
     /// iteration stride (an irregular address stream, or an alignment
     /// too long for the iteration window).
     NoStride,
-    /// The memory model does not support fast-forward.
-    Unsupported,
     /// Fast-forward was off ([`simulate_replay`](crate::simulate_replay)).
     Off,
 }

@@ -386,10 +386,8 @@ fn iteration_stride(events: &[Event], slots: &[Range<usize>], flat: bool) -> Opt
 /// roughly every [`REPLAY_HORIZON`] cycles; retirement is
 /// timing-invisible, so the cadence does not affect results.
 ///
-/// The fast-forward only takes effect when the model opts in via
-/// [`MemoryModel::supports_fast_forward`], and never changes the
-/// [`SimResult`] — only how much of it is replayed vs batched
-/// ([`SimResult::ffwd`]).
+/// The fast-forward never changes the [`SimResult`] — only how much of
+/// it is replayed vs batched ([`SimResult::ffwd`]).
 ///
 /// Returns the compute/stall split — with stalls attributed per op and
 /// the interconnect-queueing share split out — and the memory statistics
@@ -439,11 +437,10 @@ pub(crate) fn run(
     let mut stats_extra = MemStats::default();
     let mut net_extra = NetLoad::default();
 
-    let ffwd_on = ffwd && model.supports_fast_forward();
     // Iteration-level periods must align with address-stream wrap and
     // slot rotation; visit-level periods need no alignment (every visit
     // restarts the iteration count, so streams and rotation reset).
-    let iter_stride = if ffwd_on {
+    let iter_stride = if ffwd {
         iteration_stride(&events, &slots, flat)
     } else {
         None
@@ -451,7 +448,7 @@ pub(crate) fn run(
     let mut iter_armed = iter_stride.is_some();
     // The miss closest to firing any detector reached this run.
     let mut reached: Option<FfwdReason> = None;
-    let mut visit_detect = (ffwd_on && visits >= 3).then(|| Detector::new(1, visits as usize + 1));
+    let mut visit_detect = (ffwd && visits >= 3).then(|| Detector::new(1, visits as usize + 1));
     if let Some(det) = visit_detect.as_mut() {
         det.record(take_snapshot(
             model,
@@ -635,8 +632,6 @@ pub(crate) fn run(
     }
     result.ffwd.reason = if !ffwd {
         FfwdReason::Off
-    } else if !ffwd_on {
-        FfwdReason::Unsupported
     } else if result.ffwd.iters_batched > 0 {
         FfwdReason::Fired
     } else if let Some(miss) = reached {
@@ -948,7 +943,8 @@ mod tests {
         }
     }
 
-    /// A fixed-latency model that does not opt in to fast-forward.
+    /// A stateless fixed-latency model: its digest is a constant and
+    /// advancing its clock changes nothing.
     struct FixedLatency(MemStats);
 
     impl MemoryModel for FixedLatency {
@@ -959,6 +955,12 @@ mod tests {
         fn stats(&self) -> &MemStats {
             &self.0
         }
+
+        fn state_digest(&self, _base_cycle: u64) -> u64 {
+            0
+        }
+
+        fn advance_clock(&mut self, _delta: u64) {}
     }
 
     #[test]
@@ -982,9 +984,19 @@ mod tests {
             .elementwise(2)
             .build();
         assert_eq!(reason(&short), FfwdReason::TooFewVisits);
-        // A model that does not opt in is never fast-forwarded.
-        let s = compile(&short, &cfg(), Arch::Baseline);
-        let r = simulate(&s, &cfg(), &mut FixedLatency(MemStats::default()));
-        assert_eq!(r.ffwd.reason, FfwdReason::Unsupported);
+    }
+
+    #[test]
+    fn stateless_model_fast_forwards_bit_exactly() {
+        let l = LoopBuilder::new("ew")
+            .trip_count(256)
+            .visits(4)
+            .elementwise(2)
+            .build();
+        let s = compile(&l, &cfg(), Arch::Baseline);
+        let on = simulate(&s, &cfg(), &mut FixedLatency(MemStats::default()));
+        let off = simulate_replay(&s, &cfg(), &mut FixedLatency(MemStats::default()));
+        assert_eq!(on, off);
+        assert_eq!(on.ffwd.reason, FfwdReason::Fired);
     }
 }
