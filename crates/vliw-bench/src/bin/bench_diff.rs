@@ -58,10 +58,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     };
-    let threshold: f64 = args
-        .value_of("--threshold")
-        .map(|t| t.parse().expect("--threshold takes a fraction, e.g. 0.02"))
-        .unwrap_or(0.02);
+    let threshold: f64 = args.number("--threshold", 0.0).unwrap_or(0.02);
 
     let before = load(before_path);
     let after = load(after_path);

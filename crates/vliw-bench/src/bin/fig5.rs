@@ -2,9 +2,9 @@
 //! 16-entry and unbounded L0 buffers, normalized to the clustered
 //! processor with a unified L1 and no L0 buffers.
 //!
-//! `--entries N` runs a single extra sweep point (e.g. the 2-entry
-//! configuration discussed in the text); `--json <path>` emits the
-//! structured grid result.
+//! `--entries N` (N ≥ 1) runs a single extra sweep point (e.g. the
+//! 2-entry configuration discussed in the text); any other value exits
+//! with status 2. `--json <path>` emits the structured grid result.
 
 use vliw_bench::experiment::{render_matrix, write_json, BinArgs, SweepGrid, Variant};
 use vliw_bench::Arch;
@@ -13,7 +13,7 @@ use vliw_workloads::mediabench_suite;
 
 fn main() {
     let args = BinArgs::parse();
-    let extra: Option<usize> = args.value_of("--entries").and_then(|v| v.parse().ok());
+    let extra: Option<usize> = args.number("--entries", 1);
 
     let capacities: Vec<L0Capacity> = match extra {
         Some(n) => vec![L0Capacity::Bounded(n)],

@@ -157,11 +157,7 @@ fn service_smoke(args: &BinArgs, reps: usize) {
 
 fn main() {
     let args = BinArgs::parse();
-    let reps: usize = args
-        .value_of("--reps")
-        .map(|v| v.parse().expect("--reps takes a positive integer"))
-        .unwrap_or(DEFAULT_REPS)
-        .max(1);
+    let reps: usize = args.number("--reps", 1).unwrap_or(DEFAULT_REPS);
     if args.has_flag("--service") {
         return service_smoke(&args, reps);
     }

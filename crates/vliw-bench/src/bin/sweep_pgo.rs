@@ -18,7 +18,7 @@
 //! * **mesh mshr pgo** — the tentpole: compile blind, simulate on the
 //!   mesh, harvest the [`Profile`](vliw_machine::Profile) (per-link
 //!   stalls, per-bank queueing, per-op stall attribution) and recompile
-//!   with `Observed` placement costs + hot-first marking. The
+//!   with profile-weighed placement costs + hot-first marking. The
 //!   acceptance bar is normalized time ≤ the static `aware` column on
 //!   the contended 16/32-cluster cells.
 //!

@@ -61,11 +61,7 @@ struct ServiceBench {
 
 fn main() {
     let args = BinArgs::parse();
-    let requests: usize = args
-        .value_of("--requests")
-        .map(|v| v.parse().expect("--requests takes a positive integer"))
-        .unwrap_or(DEFAULT_REQUESTS)
-        .max(1);
+    let requests: usize = args.number("--requests", 1).unwrap_or(DEFAULT_REQUESTS);
 
     let pool: Vec<Arc<LoopNest>> = mediabench_suite()
         .into_iter()

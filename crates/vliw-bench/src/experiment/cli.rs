@@ -2,7 +2,10 @@
 //! the `--json <path>` structured-output convention.
 
 use serde::Serialize;
+use std::cmp::Ordering;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// The command-line arguments of one artifact bin.
 #[derive(Debug, Clone)]
@@ -30,6 +33,37 @@ impl BinArgs {
             .position(|a| a == flag)
             .and_then(|i| self.args.get(i + 1))
             .map(String::as_str)
+    }
+
+    /// The value of the numeric flag `flag`, or `None` when the flag is
+    /// absent. A missing value, one that does not parse as `T`, or one
+    /// below `min` ends the process with exit status 2 and a message
+    /// naming the flag and the value.
+    pub fn number<T: FromStr + PartialOrd + Display>(&self, flag: &str, min: T) -> Option<T> {
+        self.try_number(flag, min).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`BinArgs::number`], returning the message instead of exiting.
+    fn try_number<T: FromStr + PartialOrd + Display>(
+        &self,
+        flag: &str,
+        min: T,
+    ) -> Result<Option<T>, String> {
+        if !self.has_flag(flag) {
+            return Ok(None);
+        }
+        let raw = self.value_of(flag).unwrap_or("");
+        match raw.parse::<T>() {
+            // A NaN float compares as `None`: rejected like a too-small value.
+            Ok(v) if v.partial_cmp(&min).is_some_and(Ordering::is_ge) => Ok(Some(v)),
+            Ok(_) => Err(format!("{flag} must be at least {min}, got '{raw}'")),
+            Err(_) => Err(format!(
+                "{flag} takes a number (at least {min}), got '{raw}'"
+            )),
+        }
     }
 
     /// The `--json <path>` output path, if requested.
@@ -98,6 +132,34 @@ mod tests {
         assert_eq!(args.value_of("--entries"), Some("2"));
         assert_eq!(args.json_path(), Some(PathBuf::from("out.json")));
         assert_eq!(args.value_of("--missing"), None);
+    }
+
+    #[test]
+    fn numeric_flags_parse_or_name_the_bad_value() {
+        let args = |v: &[&str]| BinArgs::from_vec(v.iter().map(|s| s.to_string()).collect());
+        assert_eq!(args(&[]).try_number("--entries", 1usize), Ok(None));
+        assert_eq!(
+            args(&["--entries", "2"]).try_number("--entries", 1usize),
+            Ok(Some(2))
+        );
+        assert_eq!(
+            args(&["--threshold", "0.05"]).try_number("--threshold", 0.0),
+            Ok(Some(0.05))
+        );
+        for (bad, needle) in [
+            (&["--entries", "two"][..], "'two'"),
+            (&["--entries", "0"], "at least 1, got '0'"),
+            (&["--entries", "-3"], "'-3'"),
+            (&["--entries"], "got ''"),
+        ] {
+            let msg = args(bad).try_number("--entries", 1usize).unwrap_err();
+            assert!(
+                msg.starts_with("--entries") && msg.contains(needle),
+                "{msg}"
+            );
+        }
+        let nan = args(&["--threshold", "NaN"]).try_number("--threshold", 0.0);
+        assert!(nan.is_err(), "{nan:?}");
     }
 
     #[test]

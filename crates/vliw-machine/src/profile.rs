@@ -17,8 +17,8 @@
 //! The artifact is deliberately architecture-level (cluster count +
 //! topology + integer counters, no floating point), so the same seed
 //! produces the identical profile byte-for-byte and the recompile is
-//! deterministic. The scheduler consumes it through the `Observed`
-//! placement-cost implementation in `vliw-sched`.
+//! deterministic. The scheduler consumes it through the placement-cost
+//! functions of `vliw-sched`'s `cost` module.
 
 use crate::interconnect::Topology;
 use serde::{Deserialize, Serialize};
@@ -247,8 +247,8 @@ impl LoopProfile {
 
 /// A complete profiling-run artifact: what one compile→simulate pass
 /// observed about the machine, serializable alongside the `BENCH_*.json`
-/// trajectory format and consumable by the scheduler's `Observed`
-/// placement-cost model.
+/// trajectory format and consumable by the scheduler's placement-cost
+/// functions.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Profile {
     /// Cluster count of the profiled machine (sanity check: a profile is

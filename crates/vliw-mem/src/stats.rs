@@ -49,17 +49,20 @@ pub struct MemStats {
     /// Cycles requests spent traversing interconnect hops (both ways).
     pub ic_hop_cycles: u64,
     /// Cycles requests spent stalled at saturated mesh links (the
-    /// link-contention signal; 0 on every non-mesh topology). `None` in
-    /// artifacts written before the mesh existed — treat as 0.
+    /// link-contention signal; 0 on every non-mesh topology). `None`
+    /// when the run never routed a request through a non-flat
+    /// interconnect; [`MemStats::link_stalls`] reads that as 0.
     pub ic_link_stall_cycles: Option<u64>,
     /// Secondary misses merged into an in-flight refill by the bank
-    /// MSHRs (0 when `mshr_entries` is 0). `None` in artifacts written
-    /// before MSHRs existed — treat as 0.
+    /// MSHRs. `None` when the run's network has no MSHRs
+    /// (`mshr_entries` is 0), `Some(0)` when it has MSHRs but nothing
+    /// merged; [`MemStats::merges`] reads `None` as 0.
     pub mshr_merges: Option<u64>,
     /// Per-directed-link and per-bank load observed by the run — the
     /// network half of a profiling artifact
-    /// ([`Profile`](vliw_machine::Profile)). `None` on the flat network
-    /// and in artifacts written before profiles existed.
+    /// ([`Profile`](vliw_machine::Profile)). `None` when the run never
+    /// routed: its memory model sits on the flat network or reports no
+    /// network load.
     pub net: Option<vliw_machine::NetLoad>,
 }
 
@@ -216,12 +219,14 @@ impl MemStats {
         }
     }
 
-    /// Link-stall cycles with the pre-mesh `None` read as 0.
+    /// Link-stall cycles, with a run that never routed (`None`) read
+    /// as 0.
     pub fn link_stalls(&self) -> u64 {
         self.ic_link_stall_cycles.unwrap_or(0)
     }
 
-    /// MSHR merge count with the pre-MSHR `None` read as 0.
+    /// MSHR merge count, with a network without MSHRs (`None`) read
+    /// as 0.
     pub fn merges(&self) -> u64 {
         self.mshr_merges.unwrap_or(0)
     }
@@ -233,8 +238,8 @@ impl MemStats {
 
     /// Fresh counters for a model running on `net`: the merge counter
     /// starts at `Some(0)` when the network has MSHRs, so "merging was
-    /// on but nothing merged" stays distinguishable from a pre-MSHR
-    /// artifact's `None`.
+    /// on but nothing merged" stays distinguishable from a network
+    /// without MSHRs (`None`).
     pub fn for_network(net: &vliw_machine::InterconnectConfig) -> Self {
         MemStats {
             mshr_merges: if net.mshr_entries > 0 { Some(0) } else { None },
@@ -253,9 +258,9 @@ impl MemStats {
     }
 
     /// Records one interconnect route outcome. Materializes the
-    /// link-stall counter even when this route did not stall, so any
-    /// artifact written by network-routing code reads `Some(0)` rather
-    /// than the pre-mesh `None`.
+    /// link-stall counter even when this route did not stall, so a run
+    /// that routed reads `Some(0)` rather than the never-routed
+    /// `None`.
     pub fn record_route(&mut self, route: &crate::interconnect::Route) {
         self.ic_requests += 1;
         self.ic_queue_cycles += route.queue_cycles;

@@ -22,13 +22,13 @@
 //! approximations (DESIGN.md §7 discusses each):
 //!
 //! * **Static latencies.** Memory latencies are fixed before the search:
-//!   L0 candidates are marked once (selective marking by static slack,
-//!   bounded by the total entry budget; the search additionally debits a
-//!   per-cluster entry budget so no cluster's buffer is oversubscribed),
-//!   and memory-dependent sets that mix loads and stores are
-//!   conservatively given the NL0 treatment — every member bypasses the
-//!   buffers, which is coherence-safe without 1C pinning or PSR
-//!   replication.
+//!   L0 candidates are marked once, by the same rule SMS applies at step
+//!   ➋ (`engine::mark_l0` over the whole entry budget; the search
+//!   additionally debits a per-cluster entry budget so no cluster's
+//!   buffer is oversubscribed), and memory-dependent sets that mix
+//!   loads and stores are conservatively given the NL0 treatment —
+//!   every member bypasses the buffers, which is coherence-safe without
+//!   1C pinning or PSR replication.
 //! * **Greedy bus copies.** Inter-cluster copies are placed at the
 //!   earliest free bus slot in their legal window; a branch whose copy
 //!   finds no slot is pruned. With the paper's four buses per cycle the
@@ -42,15 +42,14 @@
 //! incumbent, so by construction `MII ≤ exact II ≤ SMS II` — it can only
 //! improve on the heuristic, never regress it.
 
-use crate::cost::PlacementCost;
-use crate::engine::{self, AssignmentPolicy, Mode, ScheduleError};
+use crate::engine::{self, AssignmentPolicy, FreeEntries, Mode, ScheduleError};
 use crate::mrt::ModuloReservationTable;
 use crate::schedule::{CopySlot, IiProof, Schedule};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use vliw_ir::{stride, DataDepGraph, LoopNest, MemDepSets, OpId};
-use vliw_machine::{ClusterId, MachineConfig};
+use vliw_ir::{DataDepGraph, LoopNest, MemDepSets, OpId};
+use vliw_machine::{ClusterId, MachineConfig, Profile};
 
 /// The exact search's per-II budget in *placement attempts* (each one
 /// O(edges) of work): large enough to settle the synthetic Mediabench
@@ -83,12 +82,11 @@ impl BackendKind {
 
     /// Schedules one (specialized, possibly unrolled) loop for `cfg`
     /// under the architecture-specific `mode`, the cluster-assignment
-    /// policy and the placement-cost model
-    /// ([`AssignmentPolicy::ContentionBlind`] with
-    /// [`StaticDistance`](crate::cost::StaticDistance) reproduces the
-    /// paper's distance-blind ordering bit-exactly; an
-    /// [`Observed`](crate::cost::Observed) cost closes the
-    /// profile-guided loop).
+    /// policy and an optional profile
+    /// ([`AssignmentPolicy::ContentionBlind`] without a profile
+    /// reproduces the paper's distance-blind ordering bit-exactly; a
+    /// profile closes the profile-guided loop through the
+    /// [`cost`](crate::cost) functions).
     ///
     /// # Errors
     ///
@@ -100,12 +98,12 @@ impl BackendKind {
         cfg: &MachineConfig,
         mode: Mode,
         assignment: AssignmentPolicy,
-        cost: &dyn PlacementCost,
+        profile: Option<&Profile>,
     ) -> Result<Schedule, ScheduleError> {
         match self {
-            BackendKind::Sms => engine::run_with(loop_, cfg, mode, assignment, cost),
+            BackendKind::Sms => engine::run_with(loop_, cfg, mode, assignment, profile),
             BackendKind::Exact => {
-                exact_schedule(loop_, cfg, mode, assignment, cost, DEFAULT_NODE_BUDGET)
+                exact_schedule(loop_, cfg, mode, assignment, profile, DEFAULT_NODE_BUDGET)
             }
         }
     }
@@ -127,16 +125,16 @@ pub(crate) fn exact_schedule(
     cfg: &MachineConfig,
     mode: Mode,
     assignment: AssignmentPolicy,
-    cost: &dyn PlacementCost,
+    profile: Option<&Profile>,
     node_budget: u64,
 ) -> Result<Schedule, ScheduleError> {
     // SMS provides the incumbent: an upper bound and a fallback, so
     // the exact backend can only improve on the heuristic. The
-    // assignment policy and cost model bias the incumbent (and the
+    // assignment policy and profile bias the incumbent (and the
     // static L0 marking below); the DFS itself already enumerates
     // every (cluster, cycle) placement, so its verdicts are
     // policy-independent.
-    let sms = engine::run_with(loop_, cfg, mode, assignment, cost)
+    let sms = engine::run_with(loop_, cfg, mode, assignment, profile)
         .map_err(|e| e.with_backend(BackendKind::Exact.label()))?;
     if sms.ii() <= sms.mii {
         return Ok(sms); // already proved optimal by hitting the MII
@@ -148,7 +146,7 @@ pub(crate) fn exact_schedule(
     let banned = mixed_set_members(loop_);
     let mut proved_all_below = true;
     for ii in sms.mii..sms.ii() {
-        match Search::run(loop_, cfg, &ddg, &banned, mode, cost, ii, node_budget) {
+        match Search::run(loop_, cfg, &ddg, &banned, mode, profile, ii, node_budget) {
             Outcome::Found(schedule) => {
                 let mut schedule = *schedule;
                 schedule.mii = sms.mii;
@@ -235,15 +233,27 @@ fn lat_model(
     ddg: &DataDepGraph,
     banned: &[bool],
     mode: Mode,
-    cost: &dyn PlacementCost,
+    profile: Option<&Profile>,
     ii: u32,
 ) -> (Vec<LatSpec>, Vec<i64>) {
     let n = loop_.ops.len();
     let mut lats = Vec::with_capacity(n);
-    let l0_assigned = match mode {
-        Mode::L0 { mark, .. } => static_l0_assignment(loop_, cfg, ddg, banned, mark, cost, ii),
-        _ => vec![false; n],
-    };
+    let mut l0_assigned = vec![false; n];
+    if let Mode::L0 { mark, .. } = mode {
+        // Step ➋ applied once, with SMS's optimistic latencies and the
+        // full entry budget; mixed-set members are NL0.
+        let opt = |op: OpId| engine::optimistic_latency(loop_, cfg, mode, op);
+        let slack: Vec<i64> = match ddg.asap_alap(ii, opt) {
+            Some(timing) => (0..n).map(|i| timing.slack(OpId(i as u32))).collect(),
+            None => vec![0; n],
+        };
+        let budget = FreeEntries::new(cfg).total();
+        let eligible = |op: OpId| !banned[op.index()];
+        let marks = engine::mark_l0(loop_, cfg, ii, mark, profile, &slack, budget, eligible);
+        for (op, marked) in marks {
+            l0_assigned[op.index()] = marked;
+        }
+    }
     for op in &loop_.ops {
         let spec = match &op.kind {
             vliw_ir::OpKind::Load(_) => match mode {
@@ -290,86 +300,6 @@ fn lat_model(
     (lats, costs)
 }
 
-/// Which loads get the L0 latency in the exact model: candidates marked by
-/// ascending static slack within the total entry budget (step ➋ applied
-/// once; profile-guided marking puts observed-hot origins first), minus
-/// every member of a mixed load/store set (NL0).
-#[allow(clippy::too_many_arguments)]
-fn static_l0_assignment(
-    loop_: &LoopNest,
-    cfg: &MachineConfig,
-    ddg: &DataDepGraph,
-    banned: &[bool],
-    mark: engine::MarkPolicy,
-    cost: &dyn PlacementCost,
-    ii: u32,
-) -> Vec<bool> {
-    let n = loop_.ops.len();
-    let mut assigned = vec![false; n];
-    let Some(l0) = cfg.l0 else {
-        return assigned;
-    };
-    let mut candidates: Vec<OpId> = loop_
-        .ops
-        .iter()
-        .filter(|o| {
-            o.is_load()
-                && !banned[o.id.index()]
-                && o.kind
-                    .mem_access()
-                    .map(stride::is_candidate)
-                    .unwrap_or(false)
-        })
-        .map(|o| o.id)
-        .collect();
-    match mark {
-        engine::MarkPolicy::AllCandidates => {
-            for op in candidates {
-                assigned[op.index()] = true;
-            }
-        }
-        engine::MarkPolicy::Selective | engine::MarkPolicy::ProfileGuided => {
-            let opt = |op: OpId| {
-                engine::optimistic_latency(
-                    loop_,
-                    cfg,
-                    Mode::L0 {
-                        mark,
-                        policy: crate::coherence::CoherencePolicy::Auto,
-                    },
-                    op,
-                )
-            };
-            let timing = ddg.asap_alap(ii, opt);
-            let slack = |op: OpId| timing.as_ref().map(|t| t.slack(op)).unwrap_or(0);
-            if mark == engine::MarkPolicy::ProfileGuided {
-                // Same ordering rule as the SMS engine: observed-hot
-                // provenance origins first, then the slack tiebreak.
-                candidates.sort_by_key(|&op| {
-                    let origin = loop_.op(op).provenance().0 .0;
-                    let heat = cost.stall_weight(&loop_.name, origin);
-                    (std::cmp::Reverse(heat), slack(op), op.0)
-                });
-            } else {
-                candidates.sort_by_key(|&op| (slack(op), op.0));
-            }
-            let budget = match l0.entries {
-                vliw_machine::L0Capacity::Bounded(e) => (e * cfg.clusters) as i64,
-                vliw_machine::L0Capacity::Unbounded => i64::MAX / 4,
-            };
-            let mut remaining = budget;
-            for op in candidates {
-                let cost = engine::entry_cost(loop_, cfg, ii, op);
-                if remaining >= cost {
-                    remaining -= cost;
-                    assigned[op.index()] = true;
-                }
-            }
-        }
-    }
-    assigned
-}
-
 /// Result of one per-II search.
 enum Outcome {
     /// A feasible schedule exists at this II.
@@ -414,7 +344,7 @@ struct Search<'a> {
     /// Per-op L0 entry cost (0 for ops not assumed at the L0 latency).
     l0_cost: Vec<i64>,
     /// Remaining L0 entries per cluster (SMS's `free_l0` bound).
-    free_l0: Vec<i64>,
+    free_l0: FreeEntries,
     nodes: u64,
     budget: u64,
     /// `false` when home clusters make clusters distinguishable a priori
@@ -430,17 +360,12 @@ impl<'a> Search<'a> {
         ddg: &'a DataDepGraph,
         banned: &[bool],
         mode: Mode,
-        cost: &dyn PlacementCost,
+        profile: Option<&Profile>,
         ii: u32,
         budget: u64,
     ) -> Outcome {
         let n = loop_.ops.len();
-        let (lats, l0_cost) = lat_model(loop_, cfg, ddg, banned, mode, cost, ii);
-        let entries_per_cluster: i64 = match cfg.l0.map(|l| l.entries) {
-            Some(vliw_machine::L0Capacity::Bounded(e)) => e as i64,
-            Some(vliw_machine::L0Capacity::Unbounded) => i64::MAX / 4,
-            None => 0,
-        };
+        let (lats, l0_cost) = lat_model(loop_, cfg, ddg, banned, mode, profile, ii);
 
         // Self recurrences under the model's *best* latency: a sound
         // refutation needs only the most optimistic assignment to fail.
@@ -484,7 +409,7 @@ impl<'a> Search<'a> {
             copies: Vec::new(),
             copy_index: HashMap::new(),
             l0_cost,
-            free_l0: vec![entries_per_cluster; cfg.clusters],
+            free_l0: FreeEntries::new(cfg),
             nodes: 0,
             budget,
             symmetric,
@@ -593,15 +518,6 @@ impl<'a> Search<'a> {
         (lo <= hi).then_some((lo, hi))
     }
 
-    /// Earliest free bus slot in `[lo, hi]` (slots repeat modulo II).
-    fn find_bus_slot(&self, lo: i64, hi: i64) -> Option<i64> {
-        if lo > hi {
-            return None;
-        }
-        let span = (hi - lo).min(self.ii as i64 - 1);
-        (lo..=lo + span).find(|&t| self.mrt.bus_free(t))
-    }
-
     /// Attempts to place `op` at exactly `(cluster, t)`, reserving its
     /// functional unit and any inter-cluster copies. Returns the undo
     /// token on success.
@@ -621,7 +537,7 @@ impl<'a> Search<'a> {
         // Per-cluster L0 capacity: an L0-assumed load must fit in its
         // cluster's remaining entry budget (mirrors SMS's `free_l0`).
         let l0_cost = self.l0_cost[op.index()];
-        if l0_cost > 0 && self.free_l0[cluster.index()] < l0_cost {
+        if l0_cost > 0 && !self.free_l0.fits(cluster, l0_cost) {
             return None;
         }
 
@@ -714,7 +630,7 @@ impl<'a> Search<'a> {
             new_copies: 0,
         };
         for (src, to_cluster, earliest, deadline) in wanted {
-            match self.find_bus_slot(earliest, deadline) {
+            match self.mrt.find_bus_slot(earliest, deadline) {
                 Some(copy_t) => {
                     self.mrt.reserve_bus(copy_t);
                     undo.bus_ts.push(copy_t);
@@ -739,7 +655,7 @@ impl<'a> Search<'a> {
             lat: lat as u32,
         });
         self.cluster_pop[cluster.index()] += 1;
-        self.free_l0[cluster.index()] -= l0_cost;
+        self.free_l0.take(cluster, l0_cost);
         Some(undo)
     }
 
@@ -748,7 +664,7 @@ impl<'a> Search<'a> {
     fn undo(&mut self, undo: Undo) {
         if let Some(d) = self.placed[undo.op.index()].take() {
             self.cluster_pop[d.cluster.index()] -= 1;
-            self.free_l0[d.cluster.index()] += self.l0_cost[undo.op.index()];
+            self.free_l0.take(d.cluster, -self.l0_cost[undo.op.index()]);
         }
         for _ in 0..undo.new_copies {
             let c = self.copies.pop().expect("copy pushed by try_place");
@@ -767,7 +683,6 @@ impl<'a> Search<'a> {
 mod tests {
     use super::*;
     use crate::coherence::CoherencePolicy;
-    use crate::cost::StaticDistance;
     use crate::engine::MarkPolicy;
     use vliw_ir::LoopBuilder;
 
@@ -783,7 +698,7 @@ mod tests {
     }
 
     fn schedule(kind: BackendKind, l: &LoopNest, c: &MachineConfig, mode: Mode) -> Schedule {
-        kind.schedule(l, c, mode, AssignmentPolicy::default(), &StaticDistance)
+        kind.schedule(l, c, mode, AssignmentPolicy::default(), None)
             .unwrap()
     }
 
@@ -874,15 +789,7 @@ mod tests {
             .build();
         let c = cfg();
         let sms = schedule(BackendKind::Sms, &l, &c, l0_mode());
-        let s = exact_schedule(
-            &l,
-            &c,
-            l0_mode(),
-            AssignmentPolicy::default(),
-            &StaticDistance,
-            1,
-        )
-        .unwrap();
+        let s = exact_schedule(&l, &c, l0_mode(), AssignmentPolicy::default(), None, 1).unwrap();
         assert!(s.ii() <= sms.ii(), "fallback never regresses SMS");
         if s.ii() > s.mii {
             assert_eq!(s.ii_proof, IiProof::Truncated);

@@ -21,7 +21,6 @@
 
 use crate::backend::BackendKind;
 use crate::coherence::CoherencePolicy;
-use crate::cost::{Observed, PlacementCost, StaticDistance};
 use crate::engine::{AssignmentPolicy, Mode, ScheduleError};
 use crate::hints::assign_hints;
 use crate::mrt::ModuloReservationTable;
@@ -100,12 +99,10 @@ pub struct CompileRequest {
     /// op's home bank on a non-flat interconnect).
     pub assignment: AssignmentPolicy,
     /// Profile harvested from a prior simulation run. When present, the
-    /// placement-cost layer switches from [`StaticDistance`] to
-    /// [`Observed`] — routes are weighed by measured link stalls and
-    /// bank queueing, and [`MarkPolicy::ProfileGuided`] reads its per-op
-    /// stall attribution. `None` (the default, and the value every
-    /// pre-profile artifact deserializes to) keeps compilation bit-exact
-    /// with the static pipeline.
+    /// [`cost`](crate::cost) functions weigh routes by its measured link
+    /// stalls and bank queueing, and [`MarkPolicy::ProfileGuided`] reads
+    /// its per-op stall attribution. `None` (the default) keeps
+    /// compilation bit-exact with the static pipeline.
     pub profile: Option<Profile>,
     /// Static verification level the driver's `verify` pass runs under.
     pub verify: VerifyLevel,
@@ -176,7 +173,8 @@ impl CompileRequest {
         self
     }
 
-    /// Attaches (or clears) the profile the placement-cost layer reads.
+    /// Attaches (or clears) the profile the [`cost`](crate::cost)
+    /// functions read.
     #[must_use]
     pub fn profile(mut self, profile: Option<Profile>) -> Self {
         self.profile = profile;
@@ -200,15 +198,6 @@ impl CompileRequest {
         self.profile(Some(profile))
             .mark(MarkPolicy::ProfileGuided)
             .assignment(AssignmentPolicy::ContentionAware)
-    }
-
-    /// The placement-cost model this request compiles under: `Observed`
-    /// over the attached profile, or the bit-exact `StaticDistance`.
-    pub(crate) fn cost(&self) -> Box<dyn PlacementCost + '_> {
-        match &self.profile {
-            Some(p) => Box::new(Observed::new(p)),
-            None => Box::new(StaticDistance),
-        }
     }
 
     /// The machine view this request's schedules are built (and
@@ -386,8 +375,8 @@ pub(crate) fn unrolled_wins(flat: &Schedule, unrolled: &Schedule, n: usize) -> b
 /// prefetch insertion and the inter-loop flush. Everything here is
 /// trip-count independent, which is what lets the symbolic path run it
 /// once per template instead of once per instantiation.
-pub(crate) fn finish_l0(schedule: &mut Schedule, cfg: &MachineConfig, cost: &dyn PlacementCost) {
-    assign_hints(schedule, cfg, cost);
+pub(crate) fn finish_l0(schedule: &mut Schedule, cfg: &MachineConfig) {
+    assign_hints(schedule, cfg);
     insert_explicit_prefetches(schedule, cfg);
     schedule.flush_on_exit = true; // inter-loop coherence (§4.1)
 }

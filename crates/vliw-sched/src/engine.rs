@@ -18,15 +18,16 @@
 //!   their home cluster with the local latency.
 
 use crate::coherence::{self, CoherencePolicy, CoherenceSolution};
-use crate::cost::PlacementCost;
+use crate::cost;
 use crate::mii;
 use crate::mrt::ModuloReservationTable;
 use crate::schedule::{CopySlot, Placement, ReplicaSlot, Schedule};
 use crate::sms::sms_order;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use vliw_ir::{stride, DataDepGraph, DepKind, LoopNest, MemDepSets, OpId};
-use vliw_machine::{ClusterId, MachineConfig, MemHints};
+use vliw_machine::{ClusterId, MachineConfig, MemHints, Profile};
 
 /// Scheduling failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -204,14 +205,14 @@ struct Attempt<'a> {
     sets: &'a MemDepSets,
     mode: Mode,
     assignment: AssignmentPolicy,
-    cost: &'a dyn PlacementCost,
+    profile: Option<&'a Profile>,
     ii: u32,
     mrt: ModuloReservationTable,
     placed: Vec<Option<Draft>>,
     copies: Vec<CopySlot>,
     copy_index: HashMap<(OpId, ClusterId), i64>,
     replicas: Vec<ReplicaSlot>,
-    free_l0: Vec<i64>,
+    free_l0: FreeEntries,
     l0_assigned: Vec<bool>,
     recommended: Vec<Option<ClusterId>>,
     set_solutions: HashMap<usize, CoherenceSolution>,
@@ -261,7 +262,7 @@ impl<'a> Attempt<'a> {
                     }
                     let capacity_ok = match mark {
                         MarkPolicy::Selective | MarkPolicy::ProfileGuided => {
-                            self.free_l0[cluster.index()] >= self.entry_cost(op)
+                            self.free_l0.fits(cluster, self.entry_cost(op))
                         }
                         MarkPolicy::AllCandidates => true,
                     };
@@ -304,16 +305,6 @@ impl<'a> Attempt<'a> {
         }
     }
 
-    /// Finds a free bus slot in `[lo, hi]`, preferring the earliest.
-    fn find_bus_slot(&self, lo: i64, hi: i64) -> Option<i64> {
-        if lo > hi {
-            return None;
-        }
-        // one II of candidates is enough: slots repeat modulo II
-        let span = (hi - lo).min(self.ii as i64 - 1);
-        (lo..=lo + span).find(|&t| self.mrt.bus_free(t))
-    }
-
     /// Tries to place `op` in `cluster`; returns `true` on success (all
     /// reservations made).
     fn try_place(&mut self, op: OpId, cluster: ClusterId) -> bool {
@@ -349,7 +340,7 @@ impl<'a> Attempt<'a> {
                 } else {
                     // earliest the copy could go
                     let earliest = src.t + src.lat as i64;
-                    match self.find_bus_slot(earliest, earliest + ii - 1) {
+                    match self.mrt.find_bus_slot(earliest, earliest + ii - 1) {
                         Some(copy_t) => {
                             avail = copy_t + bus_lat - ii * e.distance as i64;
                             pred_copies.push((e.src, copy_t));
@@ -444,7 +435,7 @@ impl<'a> Attempt<'a> {
                 if self.copy_index.contains_key(&(op, dst_cluster)) {
                     continue;
                 }
-                match self.find_bus_slot(t + lat as i64, deadline) {
+                match self.mrt.find_bus_slot(t + lat as i64, deadline) {
                     Some(copy_t) => {
                         self.mrt.reserve_bus(copy_t);
                         reserved_buses.push(copy_t);
@@ -617,12 +608,12 @@ impl<'a> Attempt<'a> {
     }
 
     /// Estimated placement cost of servicing `op`'s address stream from
-    /// `cluster` — delegated to the [`PlacementCost`] layer (static hop
-    /// distance by default; congestion-weighted under a profile). The
-    /// probe address is the op's first-iteration address: strided streams
-    /// stay bank-affine at the block granularity the sweeps interleave
-    /// on, so iteration 0 is a sound proxy. 0 under the distance-blind
-    /// policy, so the sort key degenerates to the paper's ordering.
+    /// `cluster` — [`cost::bank_affinity`] (static hop distance, plus
+    /// the observed congestion under a profile). The probe address is
+    /// the op's first-iteration address: strided streams stay
+    /// bank-affine at the block granularity the sweeps interleave on, so
+    /// iteration 0 is a sound proxy. 0 under the distance-blind policy,
+    /// so the sort key degenerates to the paper's ordering.
     fn bank_distance(&self, op: OpId, cluster: ClusterId) -> u64 {
         if self.assignment != AssignmentPolicy::ContentionAware {
             return 0;
@@ -632,7 +623,7 @@ impl<'a> Attempt<'a> {
         };
         let arr = self.loop_.array(acc.array);
         let addr = (arr.base_addr as i64 + acc.offset_bytes).max(0) as u64;
-        self.cost.bank_affinity(self.cfg, cluster, addr)
+        cost::bank_affinity(self.cfg, self.profile, cluster, addr)
     }
 
     /// Step ➑: after placing `op`, push recommended clusters to its
@@ -704,53 +695,22 @@ impl<'a> Attempt<'a> {
         }
     }
 
-    /// Steps ➋/➓: (re)assign the L0 latency to the most critical
-    /// unscheduled candidates, bounded by the remaining entries.
-    fn reassign_latencies(&mut self, budget: usize, mark: MarkPolicy) {
-        let mut candidates: Vec<OpId> = self
-            .loop_
-            .ops
-            .iter()
-            .filter(|o| {
-                o.is_load()
-                    && self.placed[o.id.index()].is_none()
-                    && o.kind
-                        .mem_access()
-                        .map(stride::is_candidate)
-                        .unwrap_or(false)
-            })
-            .map(|o| o.id)
-            .collect();
-        match mark {
-            MarkPolicy::AllCandidates => {
-                for op in candidates {
-                    self.l0_assigned[op.index()] = true;
-                }
-            }
-            MarkPolicy::Selective | MarkPolicy::ProfileGuided => {
-                if mark == MarkPolicy::ProfileGuided {
-                    // Hot-stalling refs (by the profiling run's per-op
-                    // attribution, rolled up to provenance origins) get
-                    // L0 slots first; cold ops keep the slack order.
-                    candidates.sort_by_key(|&op| {
-                        let origin = self.loop_.op(op).provenance().0 .0;
-                        let heat = self.cost.stall_weight(&self.loop_.name, origin);
-                        (std::cmp::Reverse(heat), self.static_slack[op.index()], op.0)
-                    });
-                } else {
-                    candidates.sort_by_key(|&op| (self.static_slack[op.index()], op.0));
-                }
-                let mut remaining = budget as i64;
-                for op in candidates {
-                    let cost = self.entry_cost(op);
-                    if remaining >= cost {
-                        remaining -= cost;
-                        self.l0_assigned[op.index()] = true;
-                    } else {
-                        self.l0_assigned[op.index()] = false;
-                    }
-                }
-            }
+    /// Steps ➋/➓: (re)assign the L0 latency to the unscheduled
+    /// candidates by the shared marking rule ([`mark_l0`]), spending
+    /// the entries still free.
+    fn reassign_latencies(&mut self, mark: MarkPolicy) {
+        let marks = mark_l0(
+            self.loop_,
+            self.cfg,
+            self.ii,
+            mark,
+            self.profile,
+            &self.static_slack,
+            self.free_l0.total(),
+            |op| self.placed[op.index()].is_none(),
+        );
+        for (op, marked) in marks {
+            self.l0_assigned[op.index()] = marked;
         }
     }
 
@@ -890,6 +850,95 @@ pub fn entry_cost(loop_: &LoopNest, cfg: &MachineConfig, ii: u32, op: OpId) -> i
     }
 }
 
+/// The L0 entries still free in each cluster's buffer — step ➊'s
+/// `num_free_L0_entries`, kept by both schedulers. Derived from
+/// [`L0Capacity::entries`](vliw_machine::L0Capacity::entries): `None`
+/// for unbounded buffers, where every candidate fits at any cluster
+/// count.
+#[derive(Debug, Clone)]
+pub(crate) struct FreeEntries(Option<Vec<i64>>);
+
+impl FreeEntries {
+    /// Empty buffers in every cluster of `cfg` (zero entries without L0).
+    pub(crate) fn new(cfg: &MachineConfig) -> Self {
+        let per_cluster = cfg.l0.map_or(Some(0), |l0| l0.entries.entries());
+        FreeEntries(per_cluster.map(|e| vec![e as i64; cfg.clusters]))
+    }
+
+    /// `true` when `cost` more entries fit in `cluster`'s buffer.
+    pub(crate) fn fits(&self, cluster: ClusterId, cost: i64) -> bool {
+        self.0.as_ref().is_none_or(|f| f[cluster.index()] >= cost)
+    }
+
+    /// Occupies `cost` entries of `cluster`'s buffer (a negative `cost`
+    /// frees them again).
+    pub(crate) fn take(&mut self, cluster: ClusterId, cost: i64) {
+        if let Some(f) = &mut self.0 {
+            f[cluster.index()] -= cost;
+        }
+    }
+
+    /// The free entries summed over all clusters — the budget the
+    /// marking rule spends; `None` when unbounded.
+    pub(crate) fn total(&self) -> Option<i64> {
+        self.0.as_ref().map(|f| f.iter().sum())
+    }
+}
+
+/// Steps ➋/➓ of §4.3, the one L0-marking rule of both schedulers: the
+/// L0 latency goes to the most critical candidates, up to the free
+/// entries.
+///
+/// The candidates are the L0-candidate loads (good or "other" stride)
+/// that are `eligible`. They are ordered by profile heat, hottest first
+/// ([`cost::stall_weight`], read only under [`MarkPolicy::ProfileGuided`]),
+/// then by static `slack` (indexed by op), then by op id, and each is
+/// admitted while its [`entry_cost`] fits in what is left of `budget`
+/// (`None`: every candidate fits). [`MarkPolicy::AllCandidates`] admits
+/// every candidate. Returns each candidate with its verdict.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn mark_l0(
+    loop_: &LoopNest,
+    cfg: &MachineConfig,
+    ii: u32,
+    mark: MarkPolicy,
+    profile: Option<&Profile>,
+    slack: &[i64],
+    budget: Option<i64>,
+    eligible: impl Fn(OpId) -> bool,
+) -> Vec<(OpId, bool)> {
+    let mut candidates: Vec<OpId> = loop_
+        .ops
+        .iter()
+        .filter(|o| {
+            o.is_load() && eligible(o.id) && o.kind.mem_access().is_some_and(stride::is_candidate)
+        })
+        .map(|o| o.id)
+        .collect();
+    let heat = |op: OpId| match mark {
+        MarkPolicy::ProfileGuided => {
+            cost::stall_weight(profile, &loop_.name, loop_.op(op).provenance().0 .0)
+        }
+        MarkPolicy::Selective | MarkPolicy::AllCandidates => 0,
+    };
+    candidates.sort_by_key(|&op| (Reverse(heat(op)), slack[op.index()], op.0));
+    let mut remaining = match mark {
+        MarkPolicy::AllCandidates => None,
+        MarkPolicy::Selective | MarkPolicy::ProfileGuided => budget,
+    };
+    candidates
+        .into_iter()
+        .map(|op| {
+            let cost = entry_cost(loop_, cfg, ii, op);
+            let fits = remaining.is_none_or(|r| r >= cost);
+            if let (true, Some(r)) = (fits, remaining.as_mut()) {
+                *r -= cost;
+            }
+            (op, fits)
+        })
+        .collect()
+}
+
 /// The statically-preferred home cluster of a word-interleaved access:
 /// `Some(c)` when the stride is a multiple of `word_bytes × clusters`
 /// (the access always touches words owned by one cluster).
@@ -918,17 +967,16 @@ pub(crate) fn preferred_owner(
 }
 
 /// Runs the engine: II search loop over `try_schedule` (§4.3 step 3)
-/// under a cluster-assignment policy and placement-cost model
-/// ([`AssignmentPolicy::ContentionBlind`] with
-/// [`StaticDistance`](crate::cost::StaticDistance) is the paper's
-/// scheduler bit-exactly; an [`Observed`](crate::cost::Observed) model
-/// closes the profile-guided loop).
+/// under a cluster-assignment policy and an optional profile
+/// ([`AssignmentPolicy::ContentionBlind`] without a profile is the
+/// paper's scheduler bit-exactly; a profile closes the profile-guided
+/// loop through the [`cost`] functions).
 pub fn run_with(
     loop_: &LoopNest,
     cfg: &MachineConfig,
     mode: Mode,
     assignment: AssignmentPolicy,
-    cost: &dyn PlacementCost,
+    profile: Option<&Profile>,
 ) -> Result<Schedule, ScheduleError> {
     cfg.validate().map_err(ScheduleError::BadConfig)?;
     let ddg = DataDepGraph::build(loop_);
@@ -941,7 +989,7 @@ pub fn run_with(
     let mut ii = mii0;
     while ii <= MAX_II {
         if let Some(mut schedule) =
-            try_schedule(loop_, cfg, &ddg, &sets, mode, assignment, cost, ii)
+            try_schedule(loop_, cfg, &ddg, &sets, mode, assignment, profile, ii)
         {
             schedule.mii = mii0;
             // Hitting the MII is the one II a heuristic *can* prove
@@ -971,17 +1019,9 @@ fn try_schedule(
     sets: &MemDepSets,
     mode: Mode,
     assignment: AssignmentPolicy,
-    cost: &dyn PlacementCost,
+    profile: Option<&Profile>,
     ii: u32,
 ) -> Option<Schedule> {
-    let entries_per_cluster: i64 = match (&mode, cfg.l0) {
-        (Mode::L0 { .. }, Some(l0)) => match l0.entries {
-            vliw_machine::L0Capacity::Bounded(n) => n as i64,
-            vliw_machine::L0Capacity::Unbounded => i64::MAX / 4,
-        },
-        _ => 0,
-    };
-
     let mut a = Attempt {
         loop_,
         cfg,
@@ -989,7 +1029,7 @@ fn try_schedule(
         sets,
         mode,
         assignment,
-        cost,
+        profile,
         ii,
         mrt: ModuloReservationTable::new(cfg, ii),
         placed: vec![None; loop_.ops.len()],
@@ -997,7 +1037,7 @@ fn try_schedule(
         copy_index: HashMap::new(),
         replicas: Vec::new(),
         // ➊ num_free_L0_entries
-        free_l0: vec![entries_per_cluster; cfg.clusters],
+        free_l0: FreeEntries::new(cfg),
         l0_assigned: vec![false; loop_.ops.len()],
         recommended: vec![None; loop_.ops.len()], // ➌
         set_solutions: HashMap::new(),
@@ -1017,8 +1057,7 @@ fn try_schedule(
 
     // ➋ initial latency assignment: N·NE most critical candidates
     if let Mode::L0 { mark, .. } = mode {
-        let budget = (entries_per_cluster as usize).saturating_mul(cfg.clusters);
-        a.reassign_latencies(budget, mark);
+        a.reassign_latencies(mark);
     }
 
     // step 2 ordering
@@ -1036,9 +1075,9 @@ fn try_schedule(
                         let has_l0_load = sets.sets()[si]
                             .iter()
                             .any(|&m| loop_.op(m).is_load() && a.l0_assigned[m.index()]);
-                        let free_total: i64 = a.free_l0.iter().sum();
-                        let sol =
-                            coherence::decide(policy, has_l0_load, free_total.max(0) as usize);
+                        let free_total =
+                            a.free_l0.total().map_or(usize::MAX, |t| t.max(0) as usize);
+                        let sol = coherence::decide(policy, has_l0_load, free_total);
                         if matches!(sol, CoherenceSolution::Nl0) {
                             for &m in &sets.sets()[si] {
                                 a.l0_assigned[m.index()] = false;
@@ -1070,14 +1109,13 @@ fn try_schedule(
         if let Mode::L0 { .. } = mode {
             let d = a.placed[op.index()].expect("just placed");
             if o.is_load() && d.lat == a.l0_lat() {
-                a.free_l0[d.cluster.index()] -= a.entry_cost(op);
+                a.free_l0.take(d.cluster, a.entry_cost(op));
             }
         }
 
         // ➓ reassign latencies from remaining entries + new slack
         if let Mode::L0 { mark, .. } = mode {
-            let nfree: i64 = a.free_l0.iter().map(|&f| f.max(0)).sum();
-            a.reassign_latencies(nfree as usize, mark);
+            a.reassign_latencies(mark);
         }
     }
 
@@ -1203,13 +1241,7 @@ mod tests {
     }
 
     fn run(l: &LoopNest, c: &MachineConfig, mode: Mode) -> Result<Schedule, ScheduleError> {
-        run_with(
-            l,
-            c,
-            mode,
-            AssignmentPolicy::ContentionBlind,
-            &crate::cost::StaticDistance,
-        )
+        run_with(l, c, mode, AssignmentPolicy::ContentionBlind, None)
     }
 
     #[test]

@@ -17,15 +17,14 @@
 //!   diameter-derived hop radius) the cross-network deals pay long
 //!   routes on every block — the mapping falls back to `LINEAR_MAP` and
 //!   each cluster fills its L0 buffer from its near bank instead. The
-//!   near/far question is answered by the [`PlacementCost`] layer, so a
-//!   profile-guided compile additionally demotes groups whose deals
-//!   cross links the profiling run measured as congested.
+//!   near/far question is answered by [`siblings_near`], which is pure
+//!   geometry with or without a profile.
 //! * **prefetch**: `POSITIVE`/`NEGATIVE` by stride sign for good strides;
 //!   among interleaved siblings only the first in schedule order carries
 //!   the hint (one trigger refetches the whole next block — redundant
 //!   prefetches are avoided).
 
-use crate::cost::PlacementCost;
+use crate::cost::siblings_near;
 use crate::schedule::Schedule;
 use std::collections::{HashMap, HashSet};
 use vliw_ir::{stride, MemDepSets, OpId, StrideClass};
@@ -48,9 +47,8 @@ fn mem_slot_occupancy(schedule: &Schedule) -> HashMap<(usize, i64), usize> {
     occ
 }
 
-/// Assigns hints to every memory instruction of `schedule` in place,
-/// consulting `cost` for the near/far sibling question.
-pub fn assign_hints(schedule: &mut Schedule, cfg: &MachineConfig, cost: &dyn PlacementCost) {
+/// Assigns hints to every memory instruction of `schedule` in place.
+pub fn assign_hints(schedule: &mut Schedule, cfg: &MachineConfig) {
     let l0_lat = cfg.l0.map(|l| l.latency).unwrap_or(1);
     let occ = mem_slot_occupancy(schedule);
     let ii = schedule.ii() as i64;
@@ -95,7 +93,7 @@ pub fn assign_hints(schedule: &mut Schedule, cfg: &MachineConfig, cost: &dyn Pla
                 .iter()
                 .map(|&m| schedule.placement(m).cluster)
                 .collect();
-            if clusters.len() >= 2 && cost.siblings_near(cfg, &clusters) {
+            if clusters.len() >= 2 && siblings_near(cfg, &clusters) {
                 interleaved_groups.insert(*origin);
             }
         }
@@ -216,19 +214,12 @@ pub fn assign_hints(schedule: &mut Schedule, cfg: &MachineConfig, cost: &dyn Pla
 mod tests {
     use super::*;
     use crate::coherence::CoherencePolicy;
-    use crate::cost::StaticDistance;
     use crate::engine::{run_with, AssignmentPolicy, MarkPolicy, Mode, ScheduleError};
     use vliw_ir::{LoopBuilder, LoopNest};
     use vliw_machine::{ClusterId, MachineConfig};
 
     fn run(l: &LoopNest, cfg: &MachineConfig, mode: Mode) -> Result<Schedule, ScheduleError> {
-        run_with(
-            l,
-            cfg,
-            mode,
-            AssignmentPolicy::ContentionBlind,
-            &StaticDistance,
-        )
+        run_with(l, cfg, mode, AssignmentPolicy::ContentionBlind, None)
     }
 
     fn l0_mode() -> Mode {
@@ -243,7 +234,7 @@ mod tests {
         let l = LoopBuilder::new("ew").trip_count(64).elementwise(2).build();
         let cfg = MachineConfig::micro2003();
         let mut s = run(&l, &cfg, l0_mode()).unwrap();
-        assign_hints(&mut s, &cfg, &StaticDistance);
+        assign_hints(&mut s, &cfg);
         let load = l.ops.iter().find(|o| o.is_load()).unwrap();
         let h = s.placement(load.id).hints;
         assert!(h.access.uses_l0());
@@ -259,7 +250,7 @@ mod tests {
             .build();
         let cfg = MachineConfig::micro2003();
         let mut s = run(&l, &cfg, l0_mode()).unwrap();
-        assign_hints(&mut s, &cfg, &StaticDistance);
+        assign_hints(&mut s, &cfg);
         let irr_load = l
             .ops
             .iter()
@@ -277,7 +268,7 @@ mod tests {
         let u = vliw_ir::unroll(&l, 4);
         let cfg = MachineConfig::micro2003();
         let mut s = run(&u, &cfg, l0_mode()).unwrap();
-        assign_hints(&mut s, &cfg, &StaticDistance);
+        assign_hints(&mut s, &cfg);
         let loads: Vec<_> = u.ops.iter().filter(|o| o.is_load()).collect();
         assert_eq!(loads.len(), 4);
         let interleaved = loads
@@ -306,7 +297,7 @@ mod tests {
         // Flat network: the unrolled good-stride group interleaves.
         let flat = MachineConfig::micro2003();
         let mut s = run(&u, &flat, l0_mode()).unwrap();
-        assign_hints(&mut s, &flat, &StaticDistance);
+        assign_hints(&mut s, &flat);
         let interleaved = |s: &crate::schedule::Schedule, l: &vliw_ir::LoopNest| {
             l.ops
                 .iter()
@@ -321,7 +312,7 @@ mod tests {
         // linear fills.
         let tiled = flat.with_interconnect(InterconnectConfig::hierarchical(2, 1, 2));
         let mut s = run(&u, &tiled, l0_mode()).unwrap();
-        assign_hints(&mut s, &tiled, &StaticDistance);
+        assign_hints(&mut s, &tiled);
         assert_eq!(interleaved(&s, &u), 0, "cross-tile deals are demoted");
         // the loads still use the L0 buffers, just with linear mapping
         let l0_loads = u
@@ -354,7 +345,7 @@ mod tests {
         // clusters is within 2 hops, so the interleaved deal survives.
         let near = MachineConfig::micro2003().with_interconnect(InterconnectConfig::mesh(1, 4));
         let mut s = run(&u, &near, l0_mode()).unwrap();
-        assign_hints(&mut s, &near, &StaticDistance);
+        assign_hints(&mut s, &near);
         assert_eq!(interleaved(&s, &u), 4, "2x2 mesh stays near");
 
         // Force the 4 siblings far apart: 16 clusters, unroll 4 spreads
@@ -375,17 +366,14 @@ mod tests {
             .map(|&i| ClusterId::new(i))
             .collect();
         assert!(
-            !StaticDistance.siblings_near(&wide, &corners),
+            !siblings_near(&wide, &corners),
             "grid corners are 6 hops apart"
         );
         let row: HashSet<ClusterId> = [0usize, 1, 4, 5]
             .iter()
             .map(|&i| ClusterId::new(i))
             .collect();
-        assert!(
-            StaticDistance.siblings_near(&wide, &row),
-            "a 2x2 quad is near"
-        );
+        assert!(siblings_near(&wide, &row), "a 2x2 quad is near");
     }
 
     #[test]
@@ -396,7 +384,7 @@ mod tests {
             .build();
         let cfg = MachineConfig::micro2003();
         let mut s = run(&l, &cfg, l0_mode()).unwrap();
-        assign_hints(&mut s, &cfg, &StaticDistance);
+        assign_hints(&mut s, &cfg);
         let store = l.ops.iter().find(|o| o.is_store()).unwrap();
         let any_l0_load = s
             .placements
@@ -418,7 +406,7 @@ mod tests {
         let l = LoopBuilder::new("fir8").trip_count(64).fir(8, 2).build();
         let cfg = MachineConfig::micro2003();
         let mut s = run(&l, &cfg, l0_mode()).unwrap();
-        assign_hints(&mut s, &cfg, &StaticDistance);
+        assign_hints(&mut s, &cfg);
         let ii = s.ii() as i64;
         let occ = mem_slot_occupancy(&s);
         for p in &s.placements {

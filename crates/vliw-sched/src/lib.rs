@@ -12,15 +12,19 @@
 //!   slots and the shared inter-cluster buses.
 //! * [`engine`] — the cluster-assignment + scheduling engine shared by all
 //!   four target architectures (the BASE algorithm of \[22\] plus the
-//!   paper's modifications).
+//!   paper's modifications). It also holds the one L0-marking rule of
+//!   steps ➋/➓, which both backends call: candidates ordered by profile
+//!   heat, then slack, then op id, admitted against the entry budget
+//!   derived from [`L0Capacity::entries`](vliw_machine::L0Capacity::entries)
+//!   (unbounded buffers admit every candidate).
 //! * [`coherence`] — the intra-loop coherence solutions NL0 / 1C / PSR
 //!   (§4.1) and the decision logic of step ➍.
 //! * [`hints`] — step 4: access/mapping/prefetch hint assignment.
-//! * [`cost`] — the unified placement-cost layer: [`StaticDistance`]
-//!   (pure hop geometry, the bit-exact default) and [`Observed`] (a
-//!   harvested [`Profile`](vliw_machine::Profile) weighs routes by
-//!   measured link stalls and bank queueing) behind one
-//!   [`PlacementCost`] trait.
+//! * [`cost`] — the placement-cost path: free functions over the
+//!   request's optional [`Profile`](vliw_machine::Profile) —
+//!   [`bank_affinity`] (hop geometry, plus measured link stalls and bank
+//!   queueing under a profile), [`siblings_near`] (pure geometry) and
+//!   [`stall_weight`] (0 without a profile).
 //! * [`backend`] — the two schedulers behind [`BackendKind::schedule`]:
 //!   SMS (the paper's heuristic, default) and an exact branch-and-bound
 //!   search for provably-minimal IIs (an offline SMT-solver stand-in).
@@ -76,7 +80,7 @@ pub use arch::Arch;
 pub use backend::BackendKind;
 pub use coherence::{CoherencePolicy, CoherenceSolution};
 pub use compile::{CompileRequest, L0Options, MarkPolicy, UnrollPolicy};
-pub use cost::{base_loop_name, Observed, PlacementCost, StaticDistance};
+pub use cost::{bank_affinity, base_loop_name, siblings_near, stall_weight};
 pub use engine::{AssignmentPolicy, ScheduleError};
 pub use flush::{apply_selective_flushing, needs_flush_between};
 pub use passes::{merge_pass_stats, PassStat, VerifyLevel};

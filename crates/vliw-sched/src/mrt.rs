@@ -97,6 +97,16 @@ impl ModuloReservationTable {
         self.bus[s] += 1;
     }
 
+    /// The earliest flat time in `[lo, hi]` with a free bus. One II of
+    /// candidates is enough: slots repeat modulo II.
+    pub fn find_bus_slot(&self, lo: i64, hi: i64) -> Option<i64> {
+        if lo > hi {
+            return None;
+        }
+        let span = (hi - lo).min(self.ii as i64 - 1);
+        (lo..=lo + span).find(|&t| self.bus_free(t))
+    }
+
     /// Releases a bus reservation.
     pub fn release_bus(&mut self, t: i64) {
         let s = self.slot(t);
@@ -170,6 +180,23 @@ mod tests {
         assert!(!mrt.bus_free(0));
         mrt.release_bus(0);
         assert!(mrt.bus_free(0));
+    }
+
+    #[test]
+    fn bus_slot_search_is_earliest_and_bounded_by_one_ii() {
+        let mut mrt = ModuloReservationTable::new(&cfg(), 3);
+        for _ in 0..4 {
+            mrt.reserve_bus(1);
+        }
+        assert_eq!(mrt.find_bus_slot(1, 10), Some(2), "slot 1 is full");
+        assert_eq!(mrt.find_bus_slot(4, 4), None, "4 folds onto full slot 1");
+        assert_eq!(mrt.find_bus_slot(5, 4), None, "empty window");
+        for t in [0, 2] {
+            for _ in 0..4 {
+                mrt.reserve_bus(t);
+            }
+        }
+        assert_eq!(mrt.find_bus_slot(0, 100), None, "every slot is full");
     }
 
     #[test]

@@ -32,7 +32,6 @@
 //! bit-exact with the golden sweeps.
 
 use crate::compile::{finish_l0, unroll_eligible, unrolled_wins, CompileRequest, Lowered};
-use crate::cost::PlacementCost;
 use crate::engine::ScheduleError;
 use crate::schedule::Schedule;
 use crate::symbolic::SymbolicArtifact;
@@ -129,12 +128,11 @@ impl CompileRequest {
         cfg: &MachineConfig,
     ) -> Result<(Schedule, Vec<PassStat>), ScheduleError> {
         let mut stats = Vec::new();
-        let cost = self.cost();
         let Candidates {
             lowered,
             flat,
             unrolled,
-        } = self.candidates(&mut stats, loop_, cfg, cost.as_ref(), false)?;
+        } = self.candidates(&mut stats, loop_, cfg, false)?;
         let n = lowered.cfg.clusters;
         let mut winner = stage(&mut stats, "select-unroll", || {
             Ok(match unrolled {
@@ -142,7 +140,7 @@ impl CompileRequest {
                 _ => flat,
             })
         })?;
-        self.finish(&mut stats, &lowered, cost.as_ref(), &mut [&mut winner])?;
+        self.finish(&mut stats, &lowered, &mut [&mut winner])?;
         Ok((winner, stats))
     }
 
@@ -164,16 +162,15 @@ impl CompileRequest {
         cfg: &MachineConfig,
     ) -> Result<(SymbolicArtifact, Vec<PassStat>), ScheduleError> {
         let mut stats = Vec::new();
-        let cost = self.cost();
         let Candidates {
             lowered,
             mut flat,
             mut unrolled,
-        } = self.candidates(&mut stats, loop_, cfg, cost.as_ref(), true)?;
+        } = self.candidates(&mut stats, loop_, cfg, true)?;
         let mut outputs: Vec<&mut Schedule> = std::iter::once(&mut flat)
             .chain(unrolled.as_mut())
             .collect();
-        self.finish(&mut stats, &lowered, cost.as_ref(), &mut outputs)?;
+        self.finish(&mut stats, &lowered, &mut outputs)?;
         Ok((SymbolicArtifact { flat, unrolled }, stats))
     }
 
@@ -184,7 +181,6 @@ impl CompileRequest {
         stats: &mut Vec<PassStat>,
         input: &LoopNest,
         cfg: &MachineConfig,
-        cost: &dyn PlacementCost,
         normalize: bool,
     ) -> Result<Candidates, ScheduleError> {
         stage(stats, "check-profile", || self.check_profile(cfg))?;
@@ -197,8 +193,13 @@ impl CompileRequest {
         };
         let lowered = stage(stats, "lower", || self.lower(input, cfg))?;
         let schedule = |l: &LoopNest| {
-            self.backend
-                .schedule(l, &lowered.cfg, lowered.mode, self.assignment, cost)
+            self.backend.schedule(
+                l,
+                &lowered.cfg,
+                lowered.mode,
+                self.assignment,
+                self.profile.as_ref(),
+            )
         };
         let flat = stage(stats, "schedule-flat", || schedule(&lowered.loop_))?;
         // A failed unrolled candidate is not a compile failure: the
@@ -225,13 +226,12 @@ impl CompileRequest {
         &self,
         stats: &mut Vec<PassStat>,
         lowered: &Lowered,
-        cost: &dyn PlacementCost,
         outputs: &mut [&mut Schedule],
     ) -> Result<(), ScheduleError> {
         stage(stats, "finish-l0", || {
             if lowered.l0_tail {
                 for s in outputs.iter_mut() {
-                    finish_l0(s, &lowered.cfg, cost);
+                    finish_l0(s, &lowered.cfg);
                 }
             }
             Ok(())

@@ -192,10 +192,12 @@ pub struct ServiceReport {
 /// What a shard caches: the direct schedule under exact keys, the
 /// trip-independent template under symbolic keys (boxed — the template
 /// holds two full candidate schedules, and store entries move through
-/// the LRU index).
+/// the LRU index), or the failure of the key's compile, so a repeat of
+/// a failing key is answered without compiling again.
 enum CachedArtifact {
     Exact(Box<Schedule>),
     Symbolic(Box<SymbolicArtifact>),
+    Failed(FailureRecord),
 }
 
 struct Job {
@@ -302,34 +304,69 @@ struct ShardOutcome {
     checksum: u64,
 }
 
-/// Serve one request against a shard's private store.
+/// The failure of serving `key` with the compiler error `e`.
+fn failure(key: ArtifactKey, e: &ScheduleError) -> FailureRecord {
+    FailureRecord {
+        key,
+        pass: e.pass_name().map(str::to_string),
+        error: e.to_string(),
+    }
+}
+
+/// Runs the compile step of serving `key`, turning an error or a panic
+/// into the key's [`FailureRecord`].
+fn guarded<T>(
+    key: ArtifactKey,
+    compile: impl FnOnce() -> Result<T, ScheduleError>,
+) -> Result<T, FailureRecord> {
+    match panic::catch_unwind(AssertUnwindSafe(compile)) {
+        Ok(compiled) => compiled.map_err(|e| failure(key, &e)),
+        Err(payload) => Err(panic_failure(key, payload.as_ref())),
+    }
+}
+
+/// Serve one request against a shard's private store. A failed compile
+/// is stored under the key like an artifact, so repeats fail from the
+/// store; a failed instantiation concerns one trip shape and is not.
 fn serve(
     store: &mut ArtifactStore<CachedArtifact>,
     config: &ServiceConfig,
     req: &ServiceRequest,
-) -> Result<Schedule, ScheduleError> {
+) -> Result<Schedule, FailureRecord> {
+    let key = req.key;
     if !config.caching {
-        return req.request.compile(&req.loop_, &req.machine);
+        return guarded(key, || req.request.compile(&req.loop_, &req.machine));
     }
-    match config.key_mode {
-        KeyMode::Exact => {
-            if let Some(CachedArtifact::Exact(s)) = store.get(&req.key) {
-                return Ok((**s).clone());
-            }
-            let s = req.request.compile(&req.loop_, &req.machine)?;
-            let bytes = json_bytes(&s);
-            store.insert(req.key, CachedArtifact::Exact(Box::new(s.clone())), bytes);
-            Ok(s)
+    match (config.key_mode, store.get(&key)) {
+        (_, Some(CachedArtifact::Failed(f))) => Err(f.clone()),
+        (KeyMode::Exact, Some(CachedArtifact::Exact(s))) => Ok((**s).clone()),
+        (KeyMode::Symbolic, Some(CachedArtifact::Symbolic(a))) => req
+            .request
+            .instantiate(a, req.shape, &req.machine)
+            .map_err(|e| failure(key, &e)),
+        (KeyMode::Exact, _) => {
+            let compiled = guarded(key, || req.request.compile(&req.loop_, &req.machine));
+            let (entry, bytes) = match &compiled {
+                Ok(s) => (CachedArtifact::Exact(Box::new(s.clone())), json_bytes(s)),
+                Err(f) => (CachedArtifact::Failed(f.clone()), json_bytes(f)),
+            };
+            store.insert(key, entry, bytes);
+            compiled
         }
-        KeyMode::Symbolic => {
-            if let Some(CachedArtifact::Symbolic(a)) = store.get(&req.key) {
-                return req.request.instantiate(a, req.shape, &req.machine);
-            }
-            let a = req.request.compile_symbolic(&req.loop_, &req.machine)?;
-            let s = req.request.instantiate(&a, req.shape, &req.machine)?;
+        (KeyMode::Symbolic, _) => {
+            let a = guarded(key, || {
+                req.request.compile_symbolic(&req.loop_, &req.machine)
+            })
+            .inspect_err(|f| {
+                store.insert(key, CachedArtifact::Failed(f.clone()), json_bytes(f));
+            })?;
+            let s = req
+                .request
+                .instantiate(&a, req.shape, &req.machine)
+                .map_err(|e| failure(key, &e));
             let bytes = json_bytes(&a);
-            store.insert(req.key, CachedArtifact::Symbolic(Box::new(a)), bytes);
-            Ok(s)
+            store.insert(key, CachedArtifact::Symbolic(Box::new(a)), bytes);
+            s
         }
     }
 }
@@ -346,13 +383,19 @@ fn schedule_digest(s: &Schedule) -> u64 {
     KeyBuilder::new().field("schedule", s).finish().hi
 }
 
-/// The text of a caught panic.
-fn panic_message(payload: &(dyn Any + Send)) -> &str {
-    payload
+/// The failure of serving `key` when the compiler panicked with
+/// `payload`.
+fn panic_failure(key: ArtifactKey, payload: &(dyn Any + Send)) -> FailureRecord {
+    let message = payload
         .downcast_ref::<&str>()
         .copied()
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string panic payload")
+        .unwrap_or("non-string panic payload");
+    FailureRecord {
+        key,
+        pass: None,
+        error: format!("compiler panicked: {message}"),
+    }
 }
 
 fn run_shard(queue: &BoundedQueue<Job>, config: &ServiceConfig) -> ShardOutcome {
@@ -367,30 +410,23 @@ fn run_shard(queue: &BoundedQueue<Job>, config: &ServiceConfig) -> ShardOutcome 
         checksum: 0,
     };
     while let Some(job) = queue.pop() {
-        // A compiler panic fails this request only. The store is safe to
-        // keep using: `serve` touches it only before and after compiling.
-        let served = panic::catch_unwind(AssertUnwindSafe(|| serve(&mut store, config, &job.req)));
-        let failure = match served {
-            Ok(Ok(s)) => {
+        // A compiler panic fails this request only. `serve` catches it
+        // around each compile step, to store the failure; this catches
+        // one in `instantiate`. The store is safe to keep using: `serve`
+        // touches it only before and after a compile step.
+        let served = panic::catch_unwind(AssertUnwindSafe(|| serve(&mut store, config, &job.req)))
+            .unwrap_or_else(|payload| Err(panic_failure(job.req.key, payload.as_ref())));
+        match served {
+            Ok(s) => {
                 outcome.served += 1;
                 if config.checksum {
                     outcome.checksum = outcome.checksum.wrapping_add(schedule_digest(&s));
                 }
-                None
             }
-            Ok(Err(e)) => Some((e.pass_name().map(str::to_string), e.to_string())),
-            Err(payload) => Some((
-                None,
-                format!("compiler panicked: {}", panic_message(payload.as_ref())),
-            )),
-        };
-        if let Some((pass, error)) = failure {
-            outcome.errors += 1;
-            outcome.failures.push(FailureRecord {
-                key: job.req.key,
-                pass,
-                error,
-            });
+            Err(failure) => {
+                outcome.errors += 1;
+                outcome.failures.push(failure);
+            }
         }
         outcome
             .latencies
@@ -690,6 +726,27 @@ mod tests {
     }
 
     #[test]
+    fn exact_keys_store_failed_compiles() {
+        let machine = Arc::new(MachineConfig::micro2003().without_l0());
+        let request = Arc::new(CompileRequest::new(Arch::L0));
+        let l = Arc::new(LoopBuilder::new("ew").trip_count(64).elementwise(2).build());
+        let reqs: Vec<ServiceRequest> = (0..3)
+            .map(|_| {
+                ServiceRequest::new(
+                    Arc::clone(&l),
+                    Arc::clone(&machine),
+                    Arc::clone(&request),
+                    KeyMode::Exact,
+                )
+            })
+            .collect();
+        let report = CompileService::new(config(KeyMode::Exact, true)).replay(reqs);
+        assert_eq!(report.errors, 3);
+        assert_eq!((report.store.misses, report.store.hits), (1, 2));
+        assert!(report.failures.iter().all(|f| f == &report.failures[0]));
+    }
+
+    #[test]
     fn a_panicking_compile_fails_its_request_without_hanging_the_replay() {
         // A dangling dependence edge panics inside the compiler. With one
         // worker behind a capacity-1 queue, a dead shard would leave the
@@ -735,7 +792,12 @@ mod tests {
         for f in &report.failures {
             assert_eq!(f.pass, None, "a panic names no pass");
             assert!(f.error.starts_with("compiler panicked: "), "{}", f.error);
+            assert_eq!(f, &report.failures[0], "repeats fail from the store");
         }
+        // The key compiles once; its four repeats are answered by the
+        // stored failure.
+        assert_eq!(report.store.misses, 1);
+        assert_eq!(report.store.hits, 4);
     }
 
     #[test]

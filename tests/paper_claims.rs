@@ -3,34 +3,28 @@
 //! the `vliw-bench` binaries).
 
 use clustered_vliw_l0::machine::{AccessHint, L0Capacity, MachineConfig};
-use clustered_vliw_l0::sched::{CompileRequest, L0Options};
+use clustered_vliw_l0::sched::CompileRequest;
 use clustered_vliw_l0::workloads::mediabench_suite;
-use vliw_bench::{baseline_run, run_benchmark, Arch};
+use vliw_bench::experiment::{SweepGrid, Variant};
+use vliw_bench::Arch;
 
-fn pick<'a>(
-    suite: &'a [clustered_vliw_l0::workloads::BenchmarkSpec],
-    name: &str,
-) -> &'a clustered_vliw_l0::workloads::BenchmarkSpec {
-    suite
-        .iter()
+/// The normalized execution time (`Cell::normalized`: total cycles over
+/// the unified-L1 baseline's) of the benchmark `name` under each of
+/// `variants`, on the paper's machine.
+fn normalized(name: &str, variants: impl IntoIterator<Item = Variant>) -> Vec<f64> {
+    let spec = mediabench_suite()
+        .into_iter()
         .find(|s| s.name == name)
-        .expect("benchmark exists")
+        .expect("benchmark exists");
+    let result = SweepGrid::new(name, MachineConfig::micro2003(), vec![spec])
+        .with_variants(variants)
+        .run();
+    result.row(0).iter().map(|c| c.normalized).collect()
 }
 
 #[test]
 fn g721_wins_big_with_eight_entry_buffers() {
-    let suite = mediabench_suite();
-    let spec = pick(&suite, "g721dec");
-    let cfg = MachineConfig::micro2003();
-    let base = baseline_run(spec, &cfg);
-    let l0 = run_benchmark(
-        spec,
-        &cfg,
-        Arch::L0,
-        L0Options::default(),
-        base.loops.total_cycles(),
-    );
-    let norm = l0.total() as f64 / base.total() as f64;
+    let norm = normalized("g721dec", [Variant::new(Arch::L0)])[0];
     assert!(
         norm < 0.85,
         "g721dec normalized {norm:.3} must show a clear win"
@@ -40,18 +34,7 @@ fn g721_wins_big_with_eight_entry_buffers() {
 #[test]
 fn jpegdec_does_not_benefit() {
     // §5.2: jpegdec is the benchmark where L0 buffers do not pay off.
-    let suite = mediabench_suite();
-    let spec = pick(&suite, "jpegdec");
-    let cfg = MachineConfig::micro2003();
-    let base = baseline_run(spec, &cfg);
-    let l0 = run_benchmark(
-        spec,
-        &cfg,
-        Arch::L0,
-        L0Options::default(),
-        base.loops.total_cycles(),
-    );
-    let norm = l0.total() as f64 / base.total() as f64;
+    let norm = normalized("jpegdec", [Variant::new(Arch::L0)])[0];
     assert!(
         norm > 0.95,
         "jpegdec normalized {norm:.3} should be ~1.0 or worse"
@@ -61,64 +44,22 @@ fn jpegdec_does_not_benefit() {
 #[test]
 fn eight_entries_beat_two_entries() {
     // Figure 5 + in-text: 2-entry buffers give a smaller improvement.
-    let suite = mediabench_suite();
-    let spec = pick(&suite, "gsmdec");
-    let big = MachineConfig::micro2003().with_l0_entries(L0Capacity::Bounded(8));
-    let small = MachineConfig::micro2003().with_l0_entries(L0Capacity::Bounded(2));
-    let base = baseline_run(spec, &big);
-    let r8 = run_benchmark(
-        spec,
-        &big,
-        Arch::L0,
-        L0Options::default(),
-        base.loops.total_cycles(),
+    let n = normalized(
+        "gsmdec",
+        [8, 2].map(|e| Variant::new(Arch::L0).l0(L0Capacity::Bounded(e))),
     );
-    let r2 = run_benchmark(
-        spec,
-        &small,
-        Arch::L0,
-        L0Options::default(),
-        base.loops.total_cycles(),
-    );
-    assert!(
-        r8.total() <= r2.total(),
-        "8 entries ({}) must not lose to 2 ({})",
-        r8.total(),
-        r2.total()
-    );
+    let (r8, r2) = (n[0], n[1]);
+    assert!(r8 <= r2, "8 entries ({r8:.3}) must not lose to 2 ({r2:.3})");
 }
 
 #[test]
 fn multivliw_is_close_to_l0_and_interleaved_is_behind() {
     // Figure 7's ordering on a representative benchmark.
-    let suite = mediabench_suite();
-    let spec = pick(&suite, "g721enc");
-    let cfg = MachineConfig::micro2003();
-    let base = baseline_run(spec, &cfg);
-    let l0 = run_benchmark(
-        spec,
-        &cfg,
-        Arch::L0,
-        L0Options::default(),
-        base.loops.total_cycles(),
+    let n = normalized(
+        "g721enc",
+        [Arch::L0, Arch::MultiVliw, Arch::Interleaved1].map(Variant::new),
     );
-    let mv = run_benchmark(
-        spec,
-        &cfg,
-        Arch::MultiVliw,
-        L0Options::default(),
-        base.loops.total_cycles(),
-    );
-    let i1 = run_benchmark(
-        spec,
-        &cfg,
-        Arch::Interleaved1,
-        L0Options::default(),
-        base.loops.total_cycles(),
-    );
-    let n_l0 = l0.total() as f64 / base.total() as f64;
-    let n_mv = mv.total() as f64 / base.total() as f64;
-    let n_i1 = i1.total() as f64 / base.total() as f64;
+    let (n_l0, n_mv, n_i1) = (n[0], n[1], n[2]);
     assert!(
         (n_l0 - n_mv).abs() < 0.15,
         "L0 {n_l0:.3} close to MultiVLIW {n_mv:.3}"

@@ -1,6 +1,6 @@
 //! Acceptance pins for the profile-guided recompilation loop
-//! (DESIGN.md §9): the two-pass engine, the `Observed` placement-cost
-//! model, and the checked-in `tests/golden/sweep_pgo.json` grid.
+//! (DESIGN.md §9): the two-pass engine, placement costs under a
+//! profile, and the checked-in `tests/golden/sweep_pgo.json` grid.
 //!
 //! 1. **Golden pins** — against the checked-in golden: PGO never loses
 //!    to static `ContentionAware` on the contended 16/32-cluster mesh

@@ -9,7 +9,7 @@
 
 use clustered_vliw_l0::ir::{LoopBuilder, LoopNest, MemAccess, OpKind, StridePattern};
 use clustered_vliw_l0::machine::{L0Capacity, MachineConfig};
-use clustered_vliw_l0::sched::{Arch, CompileRequest};
+use clustered_vliw_l0::sched::{Arch, BackendKind, CompileRequest};
 use clustered_vliw_l0::sim::simulate_arch;
 use vliw_testutil::Rng;
 
@@ -121,23 +121,54 @@ fn stalls_never_make_compute_negative_and_totals_add_up() {
     }
 }
 
+/// A flat machine with `clusters` clusters and the L1 scaled per
+/// cluster, as the fuzz corpus's `random_machine` scales it (4 clusters
+/// is the paper's machine).
+fn machine(clusters: usize) -> MachineConfig {
+    let mut cfg = MachineConfig::micro2003();
+    cfg.clusters = clusters;
+    cfg.l1.block_bytes = 8 * clusters;
+    cfg.l1.size_bytes = 2048 * clusters;
+    cfg
+}
+
 #[test]
 fn capacity_sweep_is_safe_for_any_loop() {
-    for case in 0..CASES / 4 {
-        let l = random_loop(case);
-        for entries in [
-            L0Capacity::Bounded(2),
-            L0Capacity::Bounded(8),
-            L0Capacity::Unbounded,
-        ] {
-            let cfg = MachineConfig::micro2003().with_l0_entries(entries);
-            let s = CompileRequest::new(Arch::L0)
-                .compile(&l, &cfg)
-                .expect("schedulable");
-            let r = simulate_arch(&s, &cfg, Arch::L0);
-            assert!(r.total_cycles() > 0, "case {case} {entries}");
-            let rate = r.mem_stats.l0_hit_rate();
-            assert!((0.0..=1.0).contains(&rate), "case {case} {entries}: {rate}");
+    for clusters in [4, 8, 16] {
+        for case in 0..CASES / 4 {
+            let l = random_loop(case);
+            for entries in [
+                L0Capacity::Bounded(2),
+                L0Capacity::Bounded(8),
+                L0Capacity::Unbounded,
+            ] {
+                let cfg = machine(clusters).with_l0_entries(entries);
+                let s = CompileRequest::new(Arch::L0)
+                    .compile(&l, &cfg)
+                    .expect("schedulable");
+                let r = simulate_arch(&s, &cfg, Arch::L0);
+                let at = format!("{clusters} clusters, case {case}, {entries}");
+                assert!(r.total_cycles() > 0, "{at}");
+                let rate = r.mem_stats.l0_hit_rate();
+                assert!((0.0..=1.0).contains(&rate), "{at}: {rate}");
+            }
+            // An unbounded buffer is one no candidate can overflow, at
+            // any cluster count: it must mark exactly what a buffer too
+            // large to fill marks.
+            for backend in BackendKind::ALL {
+                let json = |entries| {
+                    let cfg = machine(clusters).with_l0_entries(entries);
+                    let s = CompileRequest::new(Arch::L0)
+                        .backend(backend)
+                        .compile(&l, &cfg)
+                        .expect("schedulable");
+                    serde_json::to_string(&s).expect("schedules serialize")
+                };
+                assert!(
+                    json(L0Capacity::Unbounded) == json(L0Capacity::Bounded(1 << 20)),
+                    "{clusters} clusters, case {case}, {backend}: unbounded differs from 2^20 entries"
+                );
+            }
         }
     }
 }
