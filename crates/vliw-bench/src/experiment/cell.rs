@@ -43,7 +43,7 @@ impl ProofCounts {
 /// Cells are the `BENCH_*.json` trajectory format: serializable,
 /// comparable across runs, and sufficient to re-render any of the paper's
 /// figures without re-simulating.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Cell {
     /// Benchmark (row) name.
     pub benchmark: String,
@@ -99,87 +99,8 @@ pub struct Cell {
     /// `invalidate_buffer` executions removed by selective inter-loop
     /// flushing (0 unless the variant enables it).
     pub flushes_removed: u64,
-    /// Wall-clock microseconds the simulator spent producing this cell's
-    /// shipped run — telemetry, not simulated state. Machine- and
-    /// load-dependent, so [`Cell`] equality deliberately ignores it.
-    pub sim_micros: u64,
-    /// Loop iterations the shipped run replayed cycle-by-cycle before
-    /// (or instead of) fast-forwarding — telemetry about *how* the
-    /// simulator produced the cell, not simulated state, so equality
-    /// ignores it like `sim_micros`.
-    pub ffwd_replayed: u64,
-    /// Loop iterations the shipped run batched in closed form after
-    /// periodic-steady-state detection (0 when fast-forward never
-    /// fired). Same telemetry status as [`Cell::ffwd_replayed`].
-    pub ffwd_batched: u64,
     /// Merged memory-system counters of the loop portion.
     pub mem: MemStats,
-}
-
-/// Equality over the *simulated* content only: `sim_micros` is measured
-/// wall time, which two runs of the same cell legitimately disagree on,
-/// and the `ffwd_*` counters describe the runner's replay/batch split —
-/// how the answer was produced, which tuning the detection window may
-/// legitimately change without changing the answer. The determinism
-/// guards (serial vs. parallel grids, repeated runs) compare cells with
-/// `==`. The exhaustive destructuring keeps this list in sync with the
-/// struct by construction.
-impl PartialEq for Cell {
-    fn eq(&self, other: &Self) -> bool {
-        let Cell {
-            benchmark,
-            variant,
-            arch,
-            clusters,
-            l0_entries,
-            total_cycles,
-            compute_cycles,
-            stall_cycles,
-            contention_stall_cycles,
-            link_stall_cycles,
-            baseline_total_cycles,
-            normalized,
-            normalized_compute,
-            normalized_stall,
-            avg_unroll,
-            avg_ii,
-            avg_mii,
-            backend,
-            opts,
-            unroll_policy,
-            assignment,
-            proof,
-            flushes_removed,
-            mem,
-            sim_micros: _,
-            ffwd_replayed: _,
-            ffwd_batched: _,
-        } = other;
-        self.benchmark == *benchmark
-            && self.variant == *variant
-            && self.arch == *arch
-            && self.clusters == *clusters
-            && self.l0_entries == *l0_entries
-            && self.total_cycles == *total_cycles
-            && self.compute_cycles == *compute_cycles
-            && self.stall_cycles == *stall_cycles
-            && self.contention_stall_cycles == *contention_stall_cycles
-            && self.link_stall_cycles == *link_stall_cycles
-            && self.baseline_total_cycles == *baseline_total_cycles
-            && self.normalized == *normalized
-            && self.normalized_compute == *normalized_compute
-            && self.normalized_stall == *normalized_stall
-            && self.avg_unroll == *avg_unroll
-            && self.avg_ii == *avg_ii
-            && self.avg_mii == *avg_mii
-            && self.backend == *backend
-            && self.opts == *opts
-            && self.unroll_policy == *unroll_policy
-            && self.assignment == *assignment
-            && self.proof == *proof
-            && self.flushes_removed == *flushes_removed
-            && self.mem == *mem
-    }
 }
 
 impl Cell {
@@ -254,9 +175,6 @@ mod tests {
                 l0_misses: 1,
                 ..Default::default()
             },
-            sim_micros: 1234,
-            ffwd_replayed: 20,
-            ffwd_batched: 100,
         }
     }
 
@@ -266,21 +184,6 @@ mod tests {
         let json = serde_json::to_string_pretty(&cell).unwrap();
         let back: Cell = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cell);
-        // equality ignores the telemetry field, so pin it separately
-        assert_eq!(back.sim_micros, cell.sim_micros);
-    }
-
-    #[test]
-    fn equality_ignores_wall_clock_telemetry() {
-        let a = sample();
-        let mut b = sample();
-        b.sim_micros = 999_999;
-        assert_eq!(a, b, "sim_micros is telemetry, not simulated state");
-        b.ffwd_batched = 0;
-        b.ffwd_replayed = 120;
-        assert_eq!(a, b, "ffwd split is telemetry, not simulated state");
-        b.total_cycles += 1;
-        assert_ne!(a, b, "simulated state still compares");
     }
 
     #[test]
@@ -299,9 +202,6 @@ mod tests {
             "\"unroll_policy\"",
             "\"assignment\"",
             "\"link_stall_cycles\"",
-            "\"sim_micros\"",
-            "\"ffwd_replayed\"",
-            "\"ffwd_batched\"",
         ] {
             assert!(json.contains(key), "{key} missing from {json}");
         }

@@ -42,25 +42,21 @@ pub struct GridResult {
     /// needed — one per `(benchmark, configuration, blind request)`, not
     /// one per profile-guided cell.
     pub profiles_computed: usize,
-    /// Wall-clock milliseconds [`run_grid`] took end to end — telemetry,
-    /// not simulated state. Machine- and load-dependent, so
-    /// [`GridResult`] equality deliberately ignores it.
-    pub wall_ms: u64,
     /// Content-addressed job-memo telemetry: how the planning pass's
     /// artifact store deduplicated baseline and base-run executions
-    /// across cells. Planning is deterministic, so — unlike `wall_ms` —
-    /// this *is* part of [`GridResult`] equality.
+    /// across cells. Planning is deterministic, so this is part of
+    /// [`GridResult`] equality.
     pub store: StoreStats,
     /// Per-pass compile timing, merged by pass name across every
     /// compilation the grid ran (baselines, base runs and profile-guided
-    /// recompiles). Wall-clock telemetry like `wall_ms` — the `micros`
-    /// vary run to run, so equality ignores it.
+    /// recompiles). The `micros` are wall time and vary run to run, so
+    /// equality ignores this field.
     pub pass_stats: Vec<PassStat>,
 }
 
-/// Equality over the simulated content only: `wall_ms` (and each cell's
-/// `sim_micros`) is measured wall time, which the serial-vs-parallel and
-/// round-trip guards must not trip over.
+/// Equality over everything but `pass_stats`, whose `micros` are
+/// measured wall time that the serial-vs-parallel and round-trip guards
+/// must not trip over.
 impl PartialEq for GridResult {
     fn eq(&self, other: &Self) -> bool {
         let GridResult {
@@ -70,7 +66,6 @@ impl PartialEq for GridResult {
             cells,
             baselines_computed,
             profiles_computed,
-            wall_ms: _,
             store,
             pass_stats: _,
         } = other;
@@ -127,8 +122,6 @@ struct SpecRun {
     /// What this run observed — per-loop stall attribution (rolled up to
     /// provenance origins) plus the network's per-link / per-bank load.
     profile: Profile,
-    /// Wall-clock microseconds spent inside the simulator for this run.
-    sim_micros: u64,
     /// Per-pass compile timing, merged by name across this run's loops.
     pass_stats: Vec<PassStat>,
 }
@@ -169,13 +162,10 @@ fn run_spec(
         flushes_removed,
         proof: ProofCounts::default(),
         profile: Profile::new(cfg.clusters, cfg.interconnect.topology),
-        sim_micros: 0,
         pass_stats,
     };
     for schedule in &schedules {
-        let t0 = std::time::Instant::now();
         let r = simulate_arch(schedule, cfg, request.arch);
-        run.sim_micros += t0.elapsed().as_micros() as u64;
         let w = r.total_cycles() as f64;
         run.unroll_weighted += schedule.loop_.unroll_factor as f64 * w;
         run.ii_weighted += f64::from(schedule.ii()) * w;
@@ -319,9 +309,6 @@ fn run_cell(
         assignment: request.assignment,
         proof: run.proof,
         flushes_removed: run.flushes_removed,
-        sim_micros: run.sim_micros,
-        ffwd_replayed: run.sim.ffwd.iters_replayed,
-        ffwd_batched: run.sim.ffwd.iters_batched,
         mem: run.sim.mem_stats,
     };
     (cell, own_stats)
@@ -343,7 +330,6 @@ fn exec<T: Send, R: Send>(items: Vec<T>, mode: ExecMode, f: impl Fn(T) -> R + Sy
 /// Panics when a variant configuration is invalid or a loop cannot be
 /// scheduled (both harness bugs, not data-dependent conditions).
 pub fn run_grid(grid: &SweepGrid, mode: ExecMode) -> GridResult {
-    let wall_start = std::time::Instant::now();
     // Baselines depend only on the variant's *baseline* configuration
     // (cluster count etc. — never the L0 capacity), so a multi-column
     // sweep usually collapses to one baseline job per benchmark.
@@ -455,7 +441,6 @@ pub fn run_grid(grid: &SweepGrid, mode: ExecMode) -> GridResult {
         cells,
         baselines_computed,
         profiles_computed,
-        wall_ms: wall_start.elapsed().as_millis() as u64,
         store: store_stats,
         pass_stats,
     }
@@ -614,11 +599,6 @@ mod tests {
         let json = serde_json::to_string_pretty(&result).unwrap();
         let back: GridResult = serde_json::from_str(&json).unwrap();
         assert_eq!(back, result);
-        // equality ignores the telemetry fields, so pin them separately
-        assert_eq!(back.wall_ms, result.wall_ms);
-        for (b, r) in back.cells.iter().zip(&result.cells) {
-            assert_eq!(b.sim_micros, r.sim_micros);
-        }
     }
 
     #[test]

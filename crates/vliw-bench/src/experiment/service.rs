@@ -1,5 +1,5 @@
-//! Replay-stream construction for the compile-service harness bins
-//! (`sweep_service`, `perf-smoke --service`).
+//! Replay-stream construction for the compile-service harnesses (the
+//! `sweep_service` bin and l0bench's `service_zipf` workload).
 //!
 //! The service replays a *request mix*: a deterministic, Zipf-skewed
 //! sequence of `(loop, trip count)` draws modelling many clients

@@ -1,13 +1,10 @@
 //! The target-architecture axis shared by the compiler, the simulator and
 //! the experiment engine.
 //!
-//! `Arch` used to live in the `vliw-bench` harness, with the arch→compiler
-//! dispatch duplicated there and the arch→memory-model dispatch duplicated
-//! in `vliw-sim`. It now lives next to the compilation drivers so every
-//! layer shares one definition: [`CompileRequest`](crate::CompileRequest)
-//! is the single arch→compiler dispatch point, and
-//! `vliw_sim::MemoryModelKind` is the single arch→memory-model dispatch
-//! point.
+//! It lives next to the compilation drivers so every layer shares one
+//! definition: [`CompileRequest`](crate::CompileRequest) is the single
+//! arch→compiler dispatch point, and `vliw_sim::MemoryModelKind` is the
+//! single arch→memory-model dispatch point.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

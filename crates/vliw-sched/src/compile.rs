@@ -220,7 +220,8 @@ impl CompileRequest {
         if let Some(p) = &self.profile {
             if p.clusters != cfg.clusters || p.topology != cfg.interconnect.topology {
                 return Err(ScheduleError::BadConfig(format!(
-                    "profile was harvested on a {}-cluster {} machine but the target is a                      {}-cluster {} machine",
+                    "profile was harvested on a {}-cluster {} machine but the target is a \
+                     {}-cluster {} machine",
                     p.clusters, p.topology, cfg.clusters, cfg.interconnect.topology
                 )));
             }

@@ -318,8 +318,6 @@ impl<'a> Attempt<'a> {
         // is normalized at the end).
         let mut lo: Option<i64> = None;
         let mut hi: Option<i64> = None;
-        let mut preds_scheduled = false;
-        let mut succs_scheduled = false;
         // (producer, needed-by) pairs requiring a new copy into `cluster`
         let mut pred_copies: Vec<(OpId, i64)> = Vec::new();
 
@@ -330,7 +328,6 @@ impl<'a> Attempt<'a> {
             let Some(src) = self.placed[e.src.index()] else {
                 continue;
             };
-            preds_scheduled = true;
             let elat = self.edge_latency(e) as i64;
             let mut avail = src.t + elat - ii * e.distance as i64;
             let needs_copy = src.cluster != cluster && !e.kind.is_mem();
@@ -361,7 +358,6 @@ impl<'a> Attempt<'a> {
             let Some(dst) = self.placed[e.dst.index()] else {
                 continue;
             };
-            succs_scheduled = true;
             let elat = if e.kind.is_mem() { 1 } else { lat as i64 };
             let needs_copy = dst.cluster != cluster && !e.kind.is_mem();
             let bound = if needs_copy {
@@ -391,7 +387,6 @@ impl<'a> Attempt<'a> {
             (None, Some(hi)) => (0..ii).map(|d| hi - d).collect(),
             (None, None) => (0..ii).collect(),
         };
-        let _ = (preds_scheduled, succs_scheduled);
         // Negative flat times are allowed (the whole schedule is
         // normalized afterwards); resource slots fold modulo II either way.
         let mut chosen: Option<i64> = None;

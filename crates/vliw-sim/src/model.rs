@@ -1,9 +1,8 @@
 //! The arch→memory-model dispatch point: a declarative memory-model kind
 //! plus its factory.
 //!
-//! This replaces the four `simulate_*` wrappers the runner used to
-//! export: every caller now goes through [`simulate_arch`], and anything
-//! that needs a fresh model (e.g. a custom experiment) goes through
+//! Every caller simulates through [`simulate_arch`], and anything that
+//! needs a fresh model (e.g. a custom experiment) goes through
 //! [`MemoryModelKind::build`].
 
 use crate::result::SimResult;

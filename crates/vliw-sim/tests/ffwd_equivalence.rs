@@ -125,6 +125,60 @@ fn golden_cluster_sweep_kernels_are_ffwd_invariant_and_batch() {
     assert!(batched > 0, "64-mesh/stream: fast-forward never fired");
 }
 
+/// An 8-cluster L0 machine on `network`: 4-entry buffers, 64-byte L1
+/// blocks and a 16 KiB L1.
+fn eight_cluster_machine(network: InterconnectConfig) -> MachineConfig {
+    let mut cfg = MachineConfig::micro2003().with_l0_entries(L0Capacity::Bounded(4));
+    cfg.clusters = 8;
+    cfg.interconnect = network;
+    cfg.l1.block_bytes = 64;
+    cfg.l1.size_bytes = 16 * 1024;
+    cfg.validate().expect("8-cluster machine");
+    cfg
+}
+
+#[test]
+fn ffwd_fires_on_every_network() {
+    // One network per interconnect arbitration path: the flat fast path,
+    // the banked hierarchical network and the mesh NoC with MSHRs. The
+    // stream kernels are engineered to settle on all three, so a network
+    // that batches nothing has a dead detector there. The gate is per
+    // network, so one dead network cannot hide behind the other two.
+    let networks = [
+        ("flat", InterconnectConfig::flat()),
+        (
+            "hier",
+            InterconnectConfig::hierarchical(2, 1, 4).with_bank_interleave(64),
+        ),
+        (
+            "mesh",
+            InterconnectConfig::mesh(2, 1)
+                .with_bank_interleave(64)
+                .with_mshr(4),
+        ),
+    ];
+    let loops = [
+        kernels::adpcm_predictor("pred", 64, 8),
+        kernels::media_stream("stream", 3, 6, 2, 128, 4, false),
+        kernels::row_filter("fir6", 6, 96, 4),
+    ];
+    let mut dead = Vec::new();
+    for (name, network) in networks {
+        let cfg = eight_cluster_machine(network);
+        let batched: u64 = loops
+            .iter()
+            .map(|l| assert_ffwd_invisible(name, l, &cfg, Arch::L0))
+            .sum();
+        if batched == 0 {
+            dead.push(name);
+        }
+    }
+    assert!(
+        dead.is_empty(),
+        "fast-forward never fired on the {dead:?} network(s)"
+    );
+}
+
 #[test]
 fn golden_backend_suite_is_ffwd_invariant() {
     // The synthetic Mediabench suite behind `sweep_backends`, on the

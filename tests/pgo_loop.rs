@@ -215,13 +215,25 @@ fn mismatched_profile_shape_is_rejected_not_misread() {
     wider.l1.block_bytes = 256;
     wider.l1.size_bytes = 64 * 1024;
     let err = request.compile(&spec().loops[0], &wider).unwrap_err();
-    assert!(err.to_string().contains("profile was harvested"), "{err}");
+    assert!(
+        err.to_string().contains(
+            "profile was harvested on a 16-cluster mesh machine but the target is a \
+             32-cluster mesh machine"
+        ),
+        "{err}"
+    );
     // …nor a different topology.
     let flat = variant
         .config(&MachineConfig::micro2003())
         .with_interconnect(InterconnectConfig::flat());
     let err = request.compile(&spec().loops[0], &flat).unwrap_err();
-    assert!(err.to_string().contains("profile was harvested"), "{err}");
+    assert!(
+        err.to_string().contains(
+            "profile was harvested on a 16-cluster mesh machine but the target is a \
+             16-cluster flat machine"
+        ),
+        "{err}"
+    );
 }
 
 #[test]
