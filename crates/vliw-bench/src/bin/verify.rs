@@ -20,7 +20,7 @@ use vliw_bench::experiment::{write_json, BinArgs};
 use vliw_bench::Arch;
 use vliw_machine::MachineConfig;
 use vliw_sched::{merge_pass_stats, BackendKind, CompileRequest, PassStat, VerifyLevel};
-use vliw_sim::simulate_arch;
+use vliw_sim::simulate;
 use vliw_verify::{
     check_loop, check_normalization, check_schedule, check_sim, lint_source, Violation,
     SERIALIZATION_SURFACES,
@@ -85,7 +85,7 @@ fn main() {
                         .unwrap_or_else(|e| panic!("{} ('{}'): {e}", arch.label(), l.name));
                     merge_pass_stats(&mut pass_stats, &stats);
                     violations.extend(check_schedule(&request, &schedule, &cfg));
-                    let sim = simulate_arch(&schedule, &cfg, arch);
+                    let sim = simulate(&schedule);
                     violations.extend(check_sim(&schedule.loop_.name, &sim));
                 }
             }

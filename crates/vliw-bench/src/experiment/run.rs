@@ -10,7 +10,7 @@ use vliw_sched::{
     Schedule,
 };
 use vliw_service::{ArtifactStore, KeyBuilder, StoreStats};
-use vliw_sim::{simulate_arch, SimResult};
+use vliw_sim::{simulate, SimResult};
 use vliw_workloads::BenchmarkSpec;
 
 /// How the engine walks the grid.
@@ -165,7 +165,7 @@ fn run_spec(
         pass_stats,
     };
     for schedule in &schedules {
-        let r = simulate_arch(schedule, cfg, request.arch);
+        let r = simulate(schedule);
         let w = r.total_cycles() as f64;
         run.unroll_weighted += schedule.loop_.unroll_factor as f64 * w;
         run.ii_weighted += f64::from(schedule.ii()) * w;

@@ -24,8 +24,9 @@
 
 use serde::Serialize;
 use vliw_machine::{InterconnectConfig, MachineConfig, Topology};
+use vliw_mem::{MemoryModel, MultiVliwMem, UnifiedL1, UnifiedWithL0, WordInterleavedMem};
 use vliw_sched::{AssignmentPolicy, CompileRequest, ScheduleError, VerifyLevel};
-use vliw_sim::{simulate_arch, simulate_replay, MemoryModelKind};
+use vliw_sim::{simulate, simulate_replay};
 use vliw_testutil::Rng;
 use vliw_verify::{
     check_loop, check_normalization, check_schedule, check_sim, check_traffic, Violation,
@@ -37,12 +38,17 @@ use vliw_workloads::{BenchmarkSpec, TrafficSummary};
 use crate::experiment::harvest_profile;
 use crate::Arch;
 
-/// Every memory model the traffic scenarios drive.
-pub const TRAFFIC_MODELS: [MemoryModelKind; 4] = [
-    MemoryModelKind::Unified,
-    MemoryModelKind::UnifiedL0,
-    MemoryModelKind::MultiVliw,
-    MemoryModelKind::WordInterleaved,
+/// A memory model the traffic scenarios drive: its report label and its
+/// constructor.
+pub type TrafficModel = (&'static str, fn(&MachineConfig) -> Box<dyn MemoryModel>);
+
+/// Every memory model the traffic scenarios drive. Traffic runs against
+/// a bare model, with no schedule, so it builds the models itself.
+pub const TRAFFIC_MODELS: [TrafficModel; 4] = [
+    ("unified", |cfg| Box::new(UnifiedL1::new(cfg))),
+    ("unified-l0", |cfg| Box::new(UnifiedWithL0::new(cfg))),
+    ("multivliw", |cfg| Box::new(MultiVliwMem::new(cfg))),
+    ("interleaved", |cfg| Box::new(WordInterleavedMem::new(cfg))),
 ];
 
 /// Corpus size knobs. The defaults are the CI corpus; [`FuzzConfig::quick`]
@@ -186,15 +192,6 @@ fn is_infeasible(e: &ScheduleError) -> bool {
     }
 }
 
-fn model_label(kind: MemoryModelKind) -> &'static str {
-    match kind {
-        MemoryModelKind::Unified => "unified",
-        MemoryModelKind::UnifiedL0 => "unified-l0",
-        MemoryModelKind::MultiVliw => "multivliw",
-        MemoryModelKind::WordInterleaved => "interleaved",
-    }
-}
-
 /// Runs the whole corpus. Deterministic: the same `config` produces a
 /// byte-identical report.
 pub fn run_corpus(config: &FuzzConfig) -> FuzzReport {
@@ -212,12 +209,12 @@ pub fn run_corpus(config: &FuzzConfig) -> FuzzReport {
     for preset in presets() {
         let spec = preset.with_reqs(config.traffic_reqs);
         for (topo, cfg) in &machines {
-            for kind in TRAFFIC_MODELS {
+            for (model, build) in TRAFFIC_MODELS {
                 traffic_scenarios += 1;
-                let label = format!("{}/{}/{}", spec.name, topo, model_label(kind));
-                let trace = run_traffic(&spec, cfg, kind.build(cfg).as_mut());
+                let label = format!("{}/{}/{}", spec.name, topo, model);
+                let trace = run_traffic(&spec, cfg, build(cfg).as_mut());
                 violations.extend(check_traffic(&label, cfg, Some(spec.kind), &trace));
-                traffic.push(trace.summary(spec.name, topo, model_label(kind)));
+                traffic.push(trace.summary(spec.name, topo, model));
             }
         }
     }
@@ -246,10 +243,9 @@ pub fn run_corpus(config: &FuzzConfig) -> FuzzReport {
             };
             compiled += 1;
             violations.extend(check_schedule(&request, &schedule, &cfg));
-            let result = simulate_arch(&schedule, &cfg, arch);
+            let result = simulate(&schedule);
             violations.extend(check_sim(&label, &result));
-            let mut model = MemoryModelKind::for_arch(arch).build(&cfg);
-            if result != simulate_replay(&schedule, &cfg, model.as_mut()) {
+            if result != simulate_replay(&schedule) {
                 oracle_mismatches.push(format!("{label}: fast-forward diverged from replay"));
             }
         }
@@ -283,8 +279,8 @@ pub fn run_corpus(config: &FuzzConfig) -> FuzzReport {
             let Ok(aware_s) = aware.compile(&l, &mesh) else {
                 continue;
             };
-            let blind_cycles = simulate_arch(&blind_s, &mesh, arch).total_cycles();
-            let aware_cycles = simulate_arch(&aware_s, &mesh, arch).total_cycles();
+            let blind_cycles = simulate(&blind_s).total_cycles();
+            let aware_cycles = simulate(&aware_s).total_cycles();
             // Profile-guided second pass: profile the aware compile,
             // recompile with the observed stalls and network load.
             let spec = BenchmarkSpec::from_kernel(l.clone());
@@ -293,7 +289,7 @@ pub fn run_corpus(config: &FuzzConfig) -> FuzzReport {
             let Ok(pgo_s) = pgo.compile(&l, &mesh) else {
                 continue;
             };
-            let pgo_cycles = simulate_arch(&pgo_s, &mesh, arch).total_cycles();
+            let pgo_cycles = simulate(&pgo_s).total_cycles();
             let norm = |c: u64| c as f64 / blind_cycles.max(1) as f64;
             showcase.push(ShowcaseRow {
                 seed: 1000 + seed,

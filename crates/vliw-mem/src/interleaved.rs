@@ -15,7 +15,7 @@ use crate::mshr::MshrFile;
 use crate::request::{MemReply, MemRequest, ReqKind, ServicedBy};
 use crate::stats::MemStats;
 use crate::MemoryModel;
-use vliw_machine::{ClusterId, InterconnectConfig, MachineConfig, WordInterleavedConfig};
+use vliw_machine::{ClusterId, MachineConfig, WordInterleavedConfig};
 
 /// One attraction-buffer entry: a remotely-mapped word.
 #[derive(Debug, Clone, Copy)]
@@ -166,29 +166,14 @@ pub struct WordInterleavedMem {
 
 impl WordInterleavedMem {
     /// Builds the word-interleaved memory for `machine` with the default
-    /// parameters and the machine's interconnect.
-    pub fn new(machine: &MachineConfig) -> Self {
-        Self::with_network(
-            machine.clusters,
-            WordInterleavedConfig::micro2003(),
-            machine.interconnect,
-        )
-    }
-
-    /// Builds with explicit parameters on the paper's flat network.
-    pub fn with_config(clusters: usize, cfg: WordInterleavedConfig) -> Self {
-        Self::with_network(clusters, cfg, InterconnectConfig::flat())
-    }
-
-    /// Builds with explicit parameters and network. Remote word traffic
+    /// parameters and the machine's interconnect. Remote word traffic
     /// rides the interconnect cluster-to-cluster (the cache module is
     /// co-located with its home cluster) and queues on the home tile's
     /// bank port.
-    pub fn with_network(
-        clusters: usize,
-        cfg: WordInterleavedConfig,
-        net: InterconnectConfig,
-    ) -> Self {
+    pub fn new(machine: &MachineConfig) -> Self {
+        let clusters = machine.clusters;
+        let cfg = WordInterleavedConfig::micro2003();
+        let net = machine.interconnect;
         WordInterleavedMem {
             cfg,
             n_clusters: clusters,

@@ -15,7 +15,7 @@ use crate::mshr::MshrFile;
 use crate::request::{MemReply, MemRequest, ReqKind, ServicedBy};
 use crate::stats::MemStats;
 use crate::MemoryModel;
-use vliw_machine::{InterconnectConfig, MachineConfig, MultiVliwConfig};
+use vliw_machine::{MachineConfig, MultiVliwConfig};
 
 /// MSI protocol states (Invalid = not resident).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,25 +49,13 @@ pub struct MultiVliwMem {
 impl MultiVliwMem {
     /// Builds the MultiVLIW memory for a machine with `machine.clusters`
     /// clusters using the default latency parameters and the machine's
-    /// interconnect.
+    /// interconnect. Snoop traffic between clusters rides the
+    /// interconnect cluster-to-cluster (the L1 bank is co-located with its
+    /// cluster) and queues on the target tile's bank port.
     pub fn new(machine: &MachineConfig) -> Self {
-        Self::with_network(
-            machine.clusters,
-            MultiVliwConfig::micro2003(),
-            machine.interconnect,
-        )
-    }
-
-    /// Builds with explicit parameters on the paper's flat network.
-    pub fn with_config(clusters: usize, cfg: MultiVliwConfig) -> Self {
-        Self::with_network(clusters, cfg, InterconnectConfig::flat())
-    }
-
-    /// Builds with explicit parameters and network. Snoop traffic between
-    /// clusters rides the interconnect cluster-to-cluster (the L1 bank is
-    /// co-located with its cluster) and queues on the target tile's bank
-    /// port.
-    pub fn with_network(clusters: usize, cfg: MultiVliwConfig, net: InterconnectConfig) -> Self {
+        let clusters = machine.clusters;
+        let cfg = MultiVliwConfig::micro2003();
+        let net = machine.interconnect;
         MultiVliwMem {
             cfg,
             banks: (0..clusters)

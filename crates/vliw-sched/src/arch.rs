@@ -2,9 +2,11 @@
 //! the experiment engine.
 //!
 //! It lives next to the compilation drivers so every layer shares one
-//! definition: [`CompileRequest`](crate::CompileRequest) is the single
-//! arch→compiler dispatch point, and `vliw_sim::MemoryModelKind` is the
-//! single arch→memory-model dispatch point.
+//! definition. An arch is stated once, in a
+//! [`CompileRequest`](crate::CompileRequest); the compile driver records
+//! it in every [`Schedule`](crate::Schedule) it hands out
+//! ([`Schedule::arch`](crate::Schedule::arch)), and the simulator reads
+//! it from there to pick the memory model (`vliw_sim::MemoryModelKind`).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -1,9 +1,9 @@
 //! The two scheduler backends: step 3 (cluster assignment + modulo
 //! scheduling) of every compile runs one of them, chosen by the
-//! request's [`BackendKind`] and dispatched by [`BackendKind::schedule`]:
+//! request's [`BackendKind`] and dispatched by `BackendKind::schedule`:
 //!
 //! * [`BackendKind::Sms`] — the paper's SMS-style heuristic
-//!   ([`engine::run_with`]). The default.
+//!   (`engine::run_with`). The default.
 //! * [`BackendKind::Exact`] — a branch-and-bound search over
 //!   `(cluster, cycle)` placements under modulo-resource (MRT) and
 //!   dependence-distance constraints. It starts at the MII and proves
@@ -92,7 +92,7 @@ impl BackendKind {
     ///
     /// Returns [`ScheduleError`] when no feasible II exists up to the
     /// search cap or the machine configuration is invalid.
-    pub fn schedule(
+    pub(crate) fn schedule(
         self,
         loop_: &LoopNest,
         cfg: &MachineConfig,

@@ -7,7 +7,7 @@
 //!    time — the same heuristic for every architecture so comparisons are
 //!    not biased by unrolling, §5.1),
 //! 3. cluster assignment + modulo scheduling
-//!    ([`BackendKind::schedule`]: the SMS heuristic by default, or the
+//!    (`BackendKind::schedule`: the SMS heuristic by default, or the
 //!    exact search),
 //! 4. hint assignment (L0 target only),
 //! 5. explicit prefetch insertion for "other"-stride L0 loads,
@@ -198,17 +198,6 @@ impl CompileRequest {
         self.profile(Some(profile))
             .mark(MarkPolicy::ProfileGuided)
             .assignment(AssignmentPolicy::ContentionAware)
-    }
-
-    /// The machine view this request's schedules are built (and
-    /// validated) against: the full machine for the L0 target,
-    /// [`MachineConfig::without_l0`] for everything else.
-    pub(crate) fn scheduling_cfg(&self, cfg: &MachineConfig) -> MachineConfig {
-        if self.arch.uses_l0() {
-            cfg.clone()
-        } else {
-            cfg.without_l0()
-        }
     }
 
     /// Rejects a profile harvested on a different machine shape.

@@ -966,7 +966,7 @@ pub(crate) fn preferred_owner(
 /// ([`AssignmentPolicy::ContentionBlind`] without a profile is the
 /// paper's scheduler bit-exactly; a profile closes the profile-guided
 /// loop through the [`cost`] functions).
-pub fn run_with(
+pub(crate) fn run_with(
     loop_: &LoopNest,
     cfg: &MachineConfig,
     mode: Mode,

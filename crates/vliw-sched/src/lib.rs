@@ -25,7 +25,7 @@
 //!   [`bank_affinity`] (hop geometry, plus measured link stalls and bank
 //!   queueing under a profile), [`siblings_near`] (pure geometry) and
 //!   [`stall_weight`] (0 without a profile).
-//! * [`backend`] — the two schedulers behind [`BackendKind::schedule`]:
+//! * [`backend`] — the two schedulers behind [`BackendKind`]:
 //!   SMS (the paper's heuristic, default) and an exact branch-and-bound
 //!   search for provably-minimal IIs (an offline SMT-solver stand-in).
 //! * [`compile`] — the [`CompileRequest`] builder, the only compile

@@ -17,7 +17,7 @@
 //! | `schedule-flat`     | backend run on the un-unrolled body |
 //! | `schedule-unrolled` | backend run on the unrolled-by-N candidate |
 //! | `select-unroll`     | direct compiles only: step 1's flat-vs-unrolled tie-break |
-//! | `finish-l0`         | hint assignment + explicit prefetches + flush |
+//! | `finish-l0`         | hint assignment + explicit prefetches + flush; stamps the target |
 //! | `verify`            | static legality re-check ([`Schedule::validate`]) |
 //!
 //! [`CompileRequest::compile_with_stats`] and
@@ -140,7 +140,7 @@ impl CompileRequest {
                 _ => flat,
             })
         })?;
-        self.finish(&mut stats, &lowered, &mut [&mut winner])?;
+        self.finish(&mut stats, &lowered, cfg, &mut [&mut winner])?;
         Ok((winner, stats))
     }
 
@@ -170,7 +170,7 @@ impl CompileRequest {
         let mut outputs: Vec<&mut Schedule> = std::iter::once(&mut flat)
             .chain(unrolled.as_mut())
             .collect();
-        self.finish(&mut stats, &lowered, &mut outputs)?;
+        self.finish(&mut stats, &lowered, cfg, &mut outputs)?;
         Ok((SymbolicArtifact { flat, unrolled }, stats))
     }
 
@@ -222,17 +222,22 @@ impl CompileRequest {
     }
 
     /// finish-l0 → verify, over every schedule the driver hands out.
+    /// Each output is stamped with its target: this request's arch and
+    /// the caller's full machine `cfg` (not the scheduling view), so a
+    /// simulation of it runs exactly what was compiled for.
     fn finish(
         &self,
         stats: &mut Vec<PassStat>,
         lowered: &Lowered,
+        cfg: &MachineConfig,
         outputs: &mut [&mut Schedule],
     ) -> Result<(), ScheduleError> {
         stage(stats, "finish-l0", || {
-            if lowered.l0_tail {
-                for s in outputs.iter_mut() {
+            for s in outputs.iter_mut() {
+                if lowered.l0_tail {
                     finish_l0(s, &lowered.cfg);
                 }
+                s.set_target(self.arch, cfg);
             }
             Ok(())
         })?;

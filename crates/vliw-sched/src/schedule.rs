@@ -1,8 +1,11 @@
 //! Scheduler output: the modulo schedule consumed by the simulator.
 
+use crate::engine::ScheduleError;
+use crate::Arch;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use vliw_ir::{LoopNest, OpId};
-use vliw_machine::{ClusterId, MemHints};
+use vliw_machine::{ClusterId, InterconnectConfig, MachineConfig, MemHints};
 
 /// Placement of one operation in the modulo schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,8 +82,19 @@ pub enum IiProof {
     Truncated,
 }
 
-/// A complete modulo schedule for one loop.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A complete modulo schedule for one loop, together with the target it
+/// was compiled for.
+///
+/// Each load carries the latency the compiler assumed and each op a
+/// cluster and an access hint, so a schedule only has meaning on its own
+/// target: the [`Arch`] and the full [`MachineConfig`] the compile
+/// driver was given. Both are recorded here and cannot be changed, so the
+/// simulator reads them instead of trusting its caller. The only ways to
+/// obtain a schedule are [`CompileRequest::compile`](crate::CompileRequest::compile)
+/// (and its variants) and
+/// [`CompileRequest::instantiate`](crate::CompileRequest::instantiate);
+/// [`Schedule::on_network`] is the one checked re-target.
+#[derive(Debug, Clone, Serialize)]
 pub struct Schedule {
     /// The (possibly unrolled/specialized) loop this schedule executes.
     pub loop_: LoopNest,
@@ -107,11 +121,19 @@ pub struct Schedule {
     pub flush_on_exit: bool,
     /// Peak register pressure estimate per cluster.
     pub max_live: Vec<u32>,
+    /// Architecture the schedule was compiled for.
+    arch: Arch,
+    /// The full machine the schedule was compiled for (the caller's
+    /// machine, with its L0 buffers even where the scheduler saw a view
+    /// without them).
+    machine: MachineConfig,
 }
 
 impl Schedule {
-    /// Creates a schedule; computes the stage count from placements.
-    pub fn new(
+    /// Creates a schedule; computes the stage count from placements. The
+    /// target is a placeholder until the compile driver stamps the real
+    /// one ([`Schedule::set_target`]).
+    pub(crate) fn new(
         loop_: LoopNest,
         ii: u32,
         placements: Vec<Placement>,
@@ -137,7 +159,62 @@ impl Schedule {
             replicas: Vec::new(),
             flush_on_exit: false,
             max_live: Vec::new(),
+            arch: Arch::Baseline,
+            machine: MachineConfig::micro2003(),
         }
+    }
+
+    /// Records the target the compile driver compiled for.
+    pub(crate) fn set_target(&mut self, arch: Arch, machine: &MachineConfig) {
+        self.arch = arch;
+        self.machine = machine.clone();
+    }
+
+    /// The architecture this schedule was compiled for.
+    pub fn arch(&self) -> Arch {
+        self.arch
+    }
+
+    /// The machine this schedule was compiled for.
+    pub fn machine(&self) -> &MachineConfig {
+        &self.machine
+    }
+
+    /// The machine view this schedule was built (and is validated)
+    /// against: its full machine for the L0 target,
+    /// [`MachineConfig::without_l0`] for everything else.
+    pub(crate) fn scheduling_view(&self) -> Cow<'_, MachineConfig> {
+        if self.arch.uses_l0() {
+            Cow::Borrowed(&self.machine)
+        } else {
+            Cow::Owned(self.machine.without_l0())
+        }
+    }
+
+    /// The same schedule on the same machine with its cluster ↔ bank
+    /// network replaced by `network`.
+    ///
+    /// The network is the one part of the machine a schedule's legality
+    /// does not depend on (placement reads it only as a cost), so this is
+    /// the one re-target that needs no recompile; any other change of
+    /// machine means compiling again.
+    ///
+    /// # Errors
+    ///
+    /// [`ScheduleError::BadConfig`] when the machine with `network` fails
+    /// [`MachineConfig::validate`].
+    pub fn on_network(&self, network: InterconnectConfig) -> Result<Schedule, ScheduleError> {
+        let machine = self.machine.with_interconnect(network);
+        machine.validate().map_err(|e| {
+            ScheduleError::BadConfig(format!(
+                "schedule for '{}' cannot move onto network {network}: {e}",
+                self.loop_.name
+            ))
+        })?;
+        Ok(Schedule {
+            machine,
+            ..self.clone()
+        })
     }
 
     /// The initiation interval: cycles between consecutive iterations.
@@ -180,6 +257,8 @@ impl Schedule {
     /// [`VerifyLevel::Full`](crate::passes::VerifyLevel::Full):
     ///
     /// * `placement-count` / `unknown-op` — every op placed exactly once;
+    /// * `cluster-range` — every placement, prefetch and PSR replica
+    ///   executes in a cluster the machine has;
     /// * `fu-capacity` — per-(slot, cluster, kind) FU occupancy (with
     ///   prefetches and PSR replicas on the memory units) vs the MRT caps;
     /// * `bus-capacity` — inter-cluster copies per slot vs the bus count;
@@ -194,7 +273,7 @@ impl Schedule {
     ///
     /// Returns the first violated invariant, tagged with its name and
     /// naming the loop and offending op.
-    pub fn validate(&self, cfg: &vliw_machine::MachineConfig) -> Result<(), String> {
+    pub fn validate(&self, cfg: &MachineConfig) -> Result<(), String> {
         use std::collections::HashMap;
         let name = &self.loop_.name;
         if self.placements.len() != self.loop_.ops.len() {
@@ -213,6 +292,7 @@ impl Schedule {
                     p.op
                 ));
             }
+            check_cluster(name, "op", p.op, p.cluster, cfg)?;
             let op = self.loop_.op(p.op);
             if let Some(kind) = op.kind.fu_kind() {
                 let slot = p.t.rem_euclid(self.ii as i64) as usize;
@@ -225,10 +305,12 @@ impl Schedule {
             }
         }
         for p in &self.prefetches {
+            check_cluster(name, "prefetch for op", p.for_op, p.cluster, cfg)?;
             let slot = p.t.rem_euclid(self.ii as i64) as usize;
             *fu_use.entry((slot, p.cluster.index(), 1)).or_insert(0) += 1;
         }
         for r in &self.replicas {
+            check_cluster(name, "replica of op", r.for_op, r.cluster, cfg)?;
             let slot = r.t.rem_euclid(self.ii as i64) as usize;
             *fu_use.entry((slot, r.cluster.index(), 1)).or_insert(0) += 1;
         }
@@ -365,12 +447,29 @@ impl Schedule {
     }
 }
 
+/// The `cluster-range` invariant for one slot of the schedule.
+fn check_cluster(
+    name: &str,
+    what: &str,
+    op: OpId,
+    cluster: ClusterId,
+    cfg: &MachineConfig,
+) -> Result<(), String> {
+    if cluster.index() < cfg.clusters {
+        return Ok(());
+    }
+    Err(format!(
+        "cluster-range: loop '{name}' {what} {op}: cluster {} on a {}-cluster machine",
+        cluster.index(),
+        cfg.clusters
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Arch, CompileRequest};
+    use crate::CompileRequest;
     use vliw_ir::LoopBuilder;
-    use vliw_machine::MachineConfig;
 
     fn sample() -> (Schedule, MachineConfig) {
         let cfg = MachineConfig::micro2003();
@@ -431,6 +530,59 @@ mod tests {
             });
         }
         assert!(s.validate(&cfg).is_err());
+    }
+
+    #[test]
+    fn validate_catches_prefetches_and_replicas_in_missing_clusters() {
+        // (Placements are covered by vliw-verify's negative suite.)
+        let (s, cfg) = sample();
+        let missing = ClusterId::new(cfg.clusters);
+        let op = s.placements[0].op;
+        let mut with_prefetch = s.clone();
+        with_prefetch.prefetches.push(PrefetchSlot {
+            for_op: op,
+            cluster: missing,
+            t: 0,
+            lookahead: 1,
+        });
+        let mut with_replica = s.clone();
+        with_replica.replicas.push(ReplicaSlot {
+            for_op: op,
+            cluster: missing,
+            t: 0,
+        });
+        for bad in [with_prefetch, with_replica] {
+            let err = bad.validate(&cfg).unwrap_err();
+            assert!(err.starts_with("cluster-range:"), "{err}");
+        }
+    }
+
+    #[test]
+    fn the_driver_stamps_the_callers_machine() {
+        let (s, cfg) = sample();
+        assert_eq!(s.arch(), Arch::L0);
+        assert_eq!(s.machine(), &cfg);
+        let l = LoopBuilder::new("sample").trip_count(64).fir(4, 2).build();
+        let base = CompileRequest::new(Arch::Baseline)
+            .compile(&l, &cfg)
+            .unwrap();
+        assert_eq!(base.arch(), Arch::Baseline);
+        // The full machine, not the scheduling view without L0.
+        assert_eq!(base.machine(), &cfg);
+    }
+
+    #[test]
+    fn on_network_swaps_only_the_network() {
+        let (s, cfg) = sample();
+        let mesh = InterconnectConfig::mesh(1, 1);
+        let moved = s.on_network(mesh).unwrap();
+        assert_eq!(moved.machine(), &cfg.with_interconnect(mesh));
+        assert_eq!(moved.arch(), s.arch());
+        assert_eq!(moved.placements, s.placements);
+        let mut bad = mesh;
+        bad.banks = 0;
+        let err = s.on_network(bad).unwrap_err();
+        assert!(matches!(err, ScheduleError::BadConfig(_)), "{err}");
     }
 
     #[test]

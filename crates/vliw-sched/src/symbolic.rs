@@ -22,7 +22,9 @@
 //! `unrolled_wins` — one shared implementation, so the floating-point
 //! comparison cannot drift), and re-checks schedule legality
 //! ([`Schedule::validate`] plus the II ≥ MII invariant) before handing
-//! the schedule out. The result is bit-exact with
+//! the schedule out. The artifact's schedules carry their target (arch
+//! and machine), so instantiation needs no machine argument and checks
+//! against the artifact's own scheduling view. The result is bit-exact with
 //! [`CompileRequest::compile`] on the un-normalized loop; the
 //! `service_symbolic` integration suite pins that equality across every
 //! suite loop × architecture.
@@ -30,7 +32,7 @@
 use crate::compile::{unroll_eligible, unrolled_wins, CompileRequest};
 use crate::engine::ScheduleError;
 use crate::schedule::Schedule;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vliw_ir::{LoopNest, TripShape};
 use vliw_machine::MachineConfig;
 
@@ -42,7 +44,7 @@ use vliw_machine::MachineConfig;
 /// instantiation. For L0 targets both candidates carry the finished
 /// tail (hints, prefetches, flush) — the tail is trip-independent, so
 /// running it at template-compile time keeps instantiation cheap.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SymbolicArtifact {
     /// The loop scheduled flat, at the canonical trip count.
     pub flat: Schedule,
@@ -86,16 +88,15 @@ impl CompileRequest {
     ///
     /// [`ScheduleError::BadConfig`] when the instantiated schedule
     /// fails the legality re-check (II < MII, or a structural
-    /// [`Schedule::validate`] violation against the target machine) —
-    /// which would mean the cached artifact does not fit the machine it
-    /// is being instantiated for.
+    /// [`Schedule::validate`] violation against the artifact's own
+    /// scheduling view of its machine) — which would mean the cached
+    /// artifact was altered after it was compiled.
     pub fn instantiate(
         &self,
         artifact: &SymbolicArtifact,
         shape: TripShape,
-        cfg: &MachineConfig,
     ) -> Result<Schedule, ScheduleError> {
-        let scfg = self.scheduling_cfg(cfg);
+        let scfg = artifact.flat.scheduling_view();
         let n = scfg.clusters;
         let mut flat = artifact.flat.clone();
         shape.apply(&mut flat.loop_);
@@ -160,9 +161,7 @@ mod tests {
                     .build();
                 let direct = req.compile(&l, &cfg()).unwrap();
                 let artifact = req.compile_symbolic(&l, &cfg()).unwrap();
-                let inst = req
-                    .instantiate(&artifact, TripShape::of(&l), &cfg())
-                    .unwrap();
+                let inst = req.instantiate(&artifact, TripShape::of(&l)).unwrap();
                 assert_eq!(json(&direct), json(&inst), "{} trip {trip}", arch.label());
             }
         }
@@ -178,9 +177,7 @@ mod tests {
             l.trip_count = trip;
             l.visits = 5;
             let direct = req.compile(&l, &cfg()).unwrap();
-            let inst = req
-                .instantiate(&artifact, TripShape::of(&l), &cfg())
-                .unwrap();
+            let inst = req.instantiate(&artifact, TripShape::of(&l)).unwrap();
             assert_eq!(json(&direct), json(&inst), "trip {trip}");
         }
     }
@@ -200,7 +197,7 @@ mod tests {
             trip_count: 2,
             visits: 1,
         };
-        let inst = req.instantiate(&artifact, shape, &cfg()).unwrap();
+        let inst = req.instantiate(&artifact, shape).unwrap();
         assert_eq!(inst.loop_.unroll_factor, 1);
         assert_eq!(inst.loop_.trip_count, 2);
     }

@@ -342,7 +342,7 @@ fn serve(
         (KeyMode::Exact, Some(CachedArtifact::Exact(s))) => Ok((**s).clone()),
         (KeyMode::Symbolic, Some(CachedArtifact::Symbolic(a))) => req
             .request
-            .instantiate(a, req.shape, &req.machine)
+            .instantiate(a, req.shape)
             .map_err(|e| failure(key, &e)),
         (KeyMode::Exact, _) => {
             let compiled = guarded(key, || req.request.compile(&req.loop_, &req.machine));
@@ -362,7 +362,7 @@ fn serve(
             })?;
             let s = req
                 .request
-                .instantiate(&a, req.shape, &req.machine)
+                .instantiate(&a, req.shape)
                 .map_err(|e| failure(key, &e));
             let bytes = json_bytes(&a);
             store.insert(key, CachedArtifact::Symbolic(Box::new(a)), bytes);

@@ -16,13 +16,21 @@
 //!   the share traceable to bank-port queueing is split out as
 //!   [`SimResult::contention_stall_cycles`].
 //!
+//! # Entry points
+//!
+//! A [`Schedule`](vliw_sched::Schedule) records the arch and the
+//! machine it was compiled for, so [`simulate`] takes the schedule alone
+//! and runs it on that target's memory model
+//! ([`MemoryModelKind::for_arch`]); [`simulate_replay`] is the same with
+//! the fast-forward off.
+//!
 //! # Example
 //!
 //! ```
 //! use vliw_ir::LoopBuilder;
 //! use vliw_machine::MachineConfig;
 //! use vliw_sched::{Arch, CompileRequest};
-//! use vliw_sim::simulate_arch;
+//! use vliw_sim::simulate;
 //!
 //! let cfg = MachineConfig::micro2003();
 //! // in-place update: the load sits on the II-bounding memory recurrence
@@ -31,8 +39,8 @@
 //! let base = CompileRequest::new(Arch::Baseline).compile(&l, &cfg).unwrap();
 //! let with_l0 = CompileRequest::new(Arch::L0).compile(&l, &cfg).unwrap();
 //!
-//! let r_base = simulate_arch(&base, &cfg, Arch::Baseline);
-//! let r_l0 = simulate_arch(&with_l0, &cfg, Arch::L0);
+//! let r_base = simulate(&base);
+//! let r_l0 = simulate(&with_l0);
 //! assert!(r_l0.total_cycles() < r_base.total_cycles());
 //! ```
 
@@ -44,8 +52,8 @@ pub mod model;
 pub mod result;
 pub mod runner;
 
-pub use compat::{simulate_with, EngineKind};
-pub use model::{simulate_arch, MemoryModelKind};
+pub use compat::{simulate_arch, simulate_with, EngineKind};
+pub use model::MemoryModelKind;
 pub use result::{FfwdReason, FfwdStats, OpStall, SimResult};
 pub use runner::{simulate, simulate_replay};
 pub use vliw_sched::Arch;

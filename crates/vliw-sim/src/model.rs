@@ -1,16 +1,15 @@
 //! The arch→memory-model dispatch point: a declarative memory-model kind
 //! plus its factory.
 //!
-//! Every caller simulates through [`simulate_arch`], and anything that
-//! needs a fresh model (e.g. a custom experiment) goes through
-//! [`MemoryModelKind::build`].
+//! [`simulate`](crate::simulate) builds the model of a schedule's own
+//! arch ([`MemoryModelKind::for_arch`]) on the schedule's own machine, so
+//! the factory is private to the crate: no caller can pair a schedule
+//! with another model.
 
-use crate::result::SimResult;
-use crate::runner::simulate;
 use serde::{Deserialize, Serialize};
 use vliw_machine::MachineConfig;
 use vliw_mem::{MemoryModel, MultiVliwMem, UnifiedL1, UnifiedWithL0, WordInterleavedMem};
-use vliw_sched::{Arch, Schedule};
+use vliw_sched::Arch;
 
 /// The memory hierarchy a simulation runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -41,8 +40,8 @@ impl MemoryModelKind {
     /// # Panics
     ///
     /// Panics for [`MemoryModelKind::UnifiedL0`] when `cfg` has no L0
-    /// configuration.
-    pub fn build(&self, cfg: &MachineConfig) -> Box<dyn MemoryModel> {
+    /// configuration — which no compiled L0 schedule's machine lacks.
+    pub(crate) fn build(&self, cfg: &MachineConfig) -> Box<dyn MemoryModel> {
         match self {
             MemoryModelKind::Unified => Box::new(UnifiedL1::new(cfg)),
             MemoryModelKind::UnifiedL0 => Box::new(UnifiedWithL0::new(cfg)),
@@ -52,20 +51,10 @@ impl MemoryModelKind {
     }
 }
 
-/// Simulates `schedule` on `arch`'s memory hierarchy — the single
-/// arch→simulator entry point.
-///
-/// # Panics
-///
-/// Panics for [`Arch::L0`] when `cfg` has no L0 configuration.
-pub fn simulate_arch(schedule: &Schedule, cfg: &MachineConfig, arch: Arch) -> SimResult {
-    let mut model = MemoryModelKind::for_arch(arch).build(cfg);
-    simulate(schedule, cfg, model.as_mut())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run, simulate, simulate_replay};
     use vliw_ir::LoopBuilder;
     use vliw_sched::CompileRequest;
 
@@ -108,16 +97,25 @@ mod tests {
     }
 
     #[test]
-    fn simulate_arch_matches_explicit_model() {
+    fn simulate_runs_every_schedule_on_its_own_model() {
+        // Each arch's schedule runs on `for_arch(s.arch())` built on
+        // `s.machine()`: no public form runs, say, an L0 schedule on the
+        // unified or the interleaved model.
         let l = LoopBuilder::new("ew")
             .trip_count(256)
             .elementwise(2)
             .build();
         let cfg = MachineConfig::micro2003();
-        let s = CompileRequest::new(Arch::L0).compile(&l, &cfg).unwrap();
-        let via_arch = simulate_arch(&s, &cfg, Arch::L0);
-        let mut model = MemoryModelKind::UnifiedL0.build(&cfg);
-        let via_model = simulate(&s, &cfg, model.as_mut());
-        assert_eq!(via_arch, via_model);
+        for arch in Arch::ALL {
+            let s = CompileRequest::new(arch).compile(&l, &cfg).unwrap();
+            assert_eq!(s.arch(), arch);
+            let own = || MemoryModelKind::for_arch(s.arch()).build(s.machine());
+            assert_eq!(simulate(&s), run(&s, own().as_mut(), true), "{arch}");
+            assert_eq!(
+                simulate_replay(&s),
+                run(&s, own().as_mut(), false),
+                "{arch}"
+            );
+        }
     }
 }

@@ -17,10 +17,11 @@
 //! [`simulate_replay`] keeps it off, and the equivalence suites pin
 //! fast-forward-on against it.
 
+use crate::model::MemoryModelKind;
 use crate::result::{FfwdReason, OpStall, SimResult};
 use std::ops::Range;
 use vliw_ir::{AddressStream, OpId};
-use vliw_machine::{ClusterId, MachineConfig, NetLoad};
+use vliw_machine::{ClusterId, NetLoad};
 use vliw_mem::{MemRequest, MemStats, MemoryModel, ReqKind, REPLAY_HORIZON};
 use vliw_sched::Schedule;
 
@@ -374,8 +375,10 @@ fn iteration_stride(events: &[Event], slots: &[Range<usize>], flat: bool) -> Opt
 // Entry points
 // ---------------------------------------------------------------------
 
-/// Simulates `schedule` against `model` with the steady-state
-/// fast-forward enabled.
+/// Simulates `schedule` on its own target — the memory model of
+/// [`Schedule::arch`] built fresh on [`Schedule::machine`] — with the
+/// steady-state fast-forward enabled. This is the one simulate entry
+/// point: a schedule cannot be paired with another machine or model.
 ///
 /// Each iteration's events form a pending-request queue drained one issue
 /// slot at a time. On a contended (non-flat) network the service order
@@ -390,34 +393,29 @@ fn iteration_stride(events: &[Event], slots: &[Range<usize>], flat: bool) -> Opt
 /// it is replayed vs batched ([`SimResult::ffwd`]).
 ///
 /// Returns the compute/stall split — with stalls attributed per op and
-/// the interconnect-queueing share split out — and the memory statistics
-/// the model accumulated *during this run* (the model should be fresh).
-pub fn simulate(
-    schedule: &Schedule,
-    cfg: &MachineConfig,
-    model: &mut dyn MemoryModel,
-) -> SimResult {
-    run(schedule, cfg, model, true)
+/// the interconnect-queueing share split out — and the memory
+/// statistics of the run.
+pub fn simulate(schedule: &Schedule) -> SimResult {
+    run(schedule, own_model(schedule).as_mut(), true)
 }
 
 /// [`simulate`] with the steady-state fast-forward **off**: every
 /// iteration is replayed. This is the oracle the fast-forward is checked
 /// against — any suite comparing the two pins the batching's
 /// bit-exactness.
-pub fn simulate_replay(
-    schedule: &Schedule,
-    cfg: &MachineConfig,
-    model: &mut dyn MemoryModel,
-) -> SimResult {
-    run(schedule, cfg, model, false)
+pub fn simulate_replay(schedule: &Schedule) -> SimResult {
+    run(schedule, own_model(schedule).as_mut(), false)
 }
 
-pub(crate) fn run(
-    schedule: &Schedule,
-    cfg: &MachineConfig,
-    model: &mut dyn MemoryModel,
-    ffwd: bool,
-) -> SimResult {
+/// A fresh memory model of `schedule`'s own target.
+fn own_model(schedule: &Schedule) -> Box<dyn MemoryModel> {
+    MemoryModelKind::for_arch(schedule.arch()).build(schedule.machine())
+}
+
+/// Runs `schedule` on its machine against `model`, which should be
+/// fresh: the result's memory statistics are the model's.
+pub(crate) fn run(schedule: &Schedule, model: &mut dyn MemoryModel, ffwd: bool) -> SimResult {
+    let cfg = schedule.machine();
     let (events, slots) = build_events(schedule);
     let loop_ = &schedule.loop_;
     let ii = schedule.ii() as u64;
@@ -657,9 +655,8 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{simulate_arch, MemoryModelKind};
     use vliw_ir::LoopBuilder;
-    use vliw_machine::L0Capacity;
+    use vliw_machine::{L0Capacity, MachineConfig};
     use vliw_sched::{Arch, CompileRequest};
 
     fn cfg() -> MachineConfig {
@@ -683,8 +680,8 @@ mod tests {
             .build();
         let base = compile(&l, &cfg(), Arch::Baseline);
         let with = compile(&l, &cfg(), Arch::L0);
-        let rb = simulate_arch(&base, &cfg(), Arch::Baseline);
-        let rl = simulate_arch(&with, &cfg(), Arch::L0);
+        let rb = simulate(&base);
+        let rl = simulate(&with);
         assert!(
             rl.total_cycles() < rb.total_cycles(),
             "L0 {} !< base {}",
@@ -700,7 +697,7 @@ mod tests {
             .elementwise(2)
             .build();
         let s = compile(&l, &cfg(), Arch::L0);
-        let r = simulate_arch(&s, &cfg(), Arch::L0);
+        let r = simulate(&s);
         assert!(
             r.mem_stats.l0_hit_rate() > 0.9,
             "hit rate {:.3} too low",
@@ -716,7 +713,7 @@ mod tests {
             .elementwise(4)
             .build();
         let s = compile(&l, &cfg(), Arch::Baseline);
-        let r = simulate_arch(&s, &cfg(), Arch::Baseline);
+        let r = simulate(&s);
         assert_eq!(r.compute_cycles, 3 * s.compute_cycles_per_visit());
     }
 
@@ -725,7 +722,7 @@ mod tests {
         let l = LoopBuilder::new("fir6").trip_count(512).fir(6, 2).build();
         let c = cfg().with_l0_entries(L0Capacity::Unbounded);
         let s = compile(&l, &c, Arch::L0);
-        let r = simulate_arch(&s, &c, Arch::L0);
+        let r = simulate(&s);
         assert!(r.mem_stats.l0_hit_rate() > 0.9);
     }
 
@@ -737,8 +734,8 @@ mod tests {
         let big_cfg = cfg().with_l0_entries(L0Capacity::Bounded(8));
         let s_small = compile(&l, &small_cfg, Arch::L0);
         let s_big = compile(&l, &big_cfg, Arch::L0);
-        let r_small = simulate_arch(&s_small, &small_cfg, Arch::L0);
-        let r_big = simulate_arch(&s_big, &big_cfg, Arch::L0);
+        let r_small = simulate(&s_small);
+        let r_big = simulate(&s_big);
         assert!(
             r_big.total_cycles() <= r_small.total_cycles(),
             "8-entry {} should beat 2-entry {}",
@@ -754,7 +751,7 @@ mod tests {
             .irregular(4, 1 << 20)
             .build();
         let s = compile(&l, &cfg(), Arch::L0);
-        let r = simulate_arch(&s, &cfg(), Arch::L0);
+        let r = simulate(&s);
         assert!(r.stall_cycles > 0, "huge random table must miss in 8KB L1");
         assert!(r.mem_stats.l1_hit_rate() < 0.9);
     }
@@ -766,7 +763,7 @@ mod tests {
             .elementwise(4)
             .build();
         let s = compile(&l, &cfg(), Arch::MultiVliw);
-        let r = simulate_arch(&s, &cfg(), Arch::MultiVliw);
+        let r = simulate(&s);
         assert!(r.total_cycles() > 0);
         assert!(r.mem_stats.accesses > 0);
     }
@@ -778,10 +775,10 @@ mod tests {
             .elementwise(4)
             .build();
         let s1 = compile(&l, &cfg(), Arch::Interleaved1);
-        let r1 = simulate_arch(&s1, &cfg(), Arch::Interleaved1);
+        let r1 = simulate(&s1);
         assert!(r1.total_cycles() > 0);
         let s2 = compile(&l, &cfg(), Arch::Interleaved2);
-        let r2 = simulate_arch(&s2, &cfg(), Arch::Interleaved2);
+        let r2 = simulate(&s2);
         assert!(r2.total_cycles() > 0);
     }
 
@@ -792,8 +789,8 @@ mod tests {
             .irregular(4, 65536)
             .build();
         let s = compile(&l, &cfg(), Arch::L0);
-        let a = simulate_arch(&s, &cfg(), Arch::L0);
-        let b = simulate_arch(&s, &cfg(), Arch::L0);
+        let a = simulate(&s);
+        let b = simulate(&s);
         assert_eq!(a, b);
     }
 
@@ -808,8 +805,8 @@ mod tests {
             .build();
         for arch in Arch::ALL {
             let s = compile(&l, &cfg(), arch);
-            let a = simulate_arch(&s, &cfg(), arch);
-            let b = simulate_arch(&s, &cfg(), arch);
+            let a = simulate(&s);
+            let b = simulate(&s);
             assert_eq!(a, b, "{arch}");
         }
     }
@@ -822,7 +819,7 @@ mod tests {
             .elementwise(2)
             .build();
         let s = compile(&l, &cfg(), Arch::L0);
-        let r = simulate_arch(&s, &cfg(), Arch::L0);
+        let r = simulate(&s);
         assert_eq!(
             r.compute_cycles,
             4 * (s.compute_cycles_per_visit() + 1),
@@ -843,7 +840,7 @@ mod tests {
             .store_load_pair(4)
             .build();
         let s = compile(&l, &cfg(), Arch::L0);
-        let r = simulate_arch(&s, &cfg(), Arch::L0);
+        let r = simulate(&s);
         assert!(r.total_cycles() > 0);
     }
 
@@ -858,9 +855,8 @@ mod tests {
         arch: Arch,
     ) -> (SimResult, SimResult, u64, u64) {
         let s = compile(l, c, arch);
-        let kind = MemoryModelKind::for_arch(arch);
-        let on = simulate(&s, c, kind.build(c).as_mut());
-        let off = simulate_replay(&s, c, kind.build(c).as_mut());
+        let on = simulate(&s);
+        let off = simulate_replay(&s);
         let trip = s.loop_.trip_count.max(1);
         (on, off, trip, s.loop_.visits)
     }
@@ -965,13 +961,8 @@ mod tests {
 
     #[test]
     fn reasons_name_why_nothing_batched() {
-        let reason = |l: &vliw_ir::LoopNest| {
-            let s = compile(l, &cfg(), Arch::Baseline);
-            let kind = MemoryModelKind::for_arch(Arch::Baseline);
-            simulate(&s, &cfg(), kind.build(&cfg()).as_mut())
-                .ffwd
-                .reason
-        };
+        let reason =
+            |l: &vliw_ir::LoopNest| simulate(&compile(l, &cfg(), Arch::Baseline)).ffwd.reason;
         // One visit of an irregular stream: no detector can run.
         let irr = LoopBuilder::new("irr")
             .trip_count(96)
@@ -994,8 +985,8 @@ mod tests {
             .elementwise(2)
             .build();
         let s = compile(&l, &cfg(), Arch::Baseline);
-        let on = simulate(&s, &cfg(), &mut FixedLatency(MemStats::default()));
-        let off = simulate_replay(&s, &cfg(), &mut FixedLatency(MemStats::default()));
+        let on = run(&s, &mut FixedLatency(MemStats::default()), true);
+        let off = run(&s, &mut FixedLatency(MemStats::default()), false);
         assert_eq!(on, off);
         assert_eq!(on.ffwd.reason, FfwdReason::Fired);
     }

@@ -12,7 +12,7 @@
 
 use vliw_machine::{L0Capacity, MachineConfig};
 use vliw_sched::{Arch, CompileRequest};
-use vliw_sim::{simulate, simulate_replay, FfwdReason, MemoryModelKind};
+use vliw_sim::{simulate, simulate_replay, FfwdReason};
 use vliw_workloads::mediabench_suite;
 
 /// The `paper_suite` targets: `(label, machine, arch)`.
@@ -43,12 +43,11 @@ fn every_suite_target_batches_all_but_one_loop() {
     let targets = targets();
     assert_eq!(targets.len(), 9);
     for (label, cfg, arch) in &targets {
-        let kind = MemoryModelKind::for_arch(*arch);
         let mut misses = Vec::new();
         let mut unwind = None;
         for l in &loops {
             let s = CompileRequest::new(*arch).compile_or_panic(l, cfg);
-            let r = simulate(&s, cfg, kind.build(cfg).as_mut());
+            let r = simulate(&s);
             assert_eq!(
                 r.ffwd.iters_batched > 0,
                 r.ffwd.reason == FfwdReason::Fired,
@@ -85,8 +84,7 @@ fn replay_reports_fast_forward_off() {
     let l = &mediabench_suite()[0].loops[0];
     for arch in Arch::ALL {
         let s = CompileRequest::new(arch).compile_or_panic(l, &cfg);
-        let kind = MemoryModelKind::for_arch(arch);
-        let r = simulate_replay(&s, &cfg, kind.build(&cfg).as_mut());
+        let r = simulate_replay(&s);
         assert_eq!(r.ffwd.reason, FfwdReason::Off, "{arch}");
     }
 }

@@ -11,7 +11,7 @@
 use vliw_ir::LoopNest;
 use vliw_machine::{InterconnectConfig, L0Capacity, MachineConfig};
 use vliw_sched::{Arch, CompileRequest};
-use vliw_sim::{simulate, simulate_replay, MemoryModelKind};
+use vliw_sim::{simulate, simulate_replay};
 use vliw_testutil::{cases, Rng};
 use vliw_workloads::fuzz::{random_loop, random_machine};
 use vliw_workloads::{kernels, mediabench_suite};
@@ -24,13 +24,12 @@ fn assert_ffwd_invisible(label: &str, l: &LoopNest, cfg: &MachineConfig, arch: A
     let Ok(s) = CompileRequest::new(arch).compile(l, cfg) else {
         return 0; // infeasible on this machine; nothing to compare
     };
-    let kind = MemoryModelKind::for_arch(arch);
-    let replayed = simulate_replay(&s, cfg, kind.build(cfg).as_mut());
+    let replayed = simulate_replay(&s);
     assert_eq!(
         replayed.ffwd.iters_batched, 0,
         "{label}/{arch}: ffwd off must replay everything"
     );
-    let batched = simulate(&s, cfg, kind.build(cfg).as_mut());
+    let batched = simulate(&s);
     assert_eq!(
         replayed, batched,
         "{label}/{arch}: fast-forward diverged from the full replay"

@@ -30,6 +30,13 @@
 //!   never execute in the primary's own cluster.
 //! * `hint-arch` — architectures without L0 buffers carry no hints, no
 //!   prefetches, no replicas, and no exit flush.
+//!
+//! Before any of these, `target` checks the pairing itself: the
+//! request's arch and the machine the caller checks against must be the
+//! schedule's own target ([`Schedule::arch`], [`Schedule::machine`]).
+//! A mismatch is reported, and the remaining checks still run against
+//! the caller's claim without panicking (an out-of-range cluster is
+//! `cluster-range`, and the L0 checks that index clusters are skipped).
 
 use crate::Violation;
 use std::collections::{HashMap, HashSet};
@@ -41,9 +48,10 @@ use vliw_sched::{CoherencePolicy, CompileRequest, MarkPolicy, Schedule};
 /// Structural-tag table: maps [`Schedule::validate`]'s message prefix to
 /// the stable invariant tag. Anything unrecognized degrades to
 /// `schedule-legality`.
-const VALIDATE_TAGS: [&str; 7] = [
+const VALIDATE_TAGS: [&str; 8] = [
     "placement-count",
     "unknown-op",
+    "cluster-range",
     "fu-capacity",
     "bus-capacity",
     "copy-route",
@@ -73,7 +81,9 @@ fn mem_slot_occupancy(schedule: &Schedule) -> HashMap<(usize, i64), usize> {
 
 /// Checks every schedule-level invariant for `schedule`, compiled by
 /// `request` against `cfg` (pass the *full* machine configuration; the
-/// scheduling view is derived the same way the drivers derive it).
+/// scheduling view is derived the same way the drivers derive it). A
+/// `request.arch` or `cfg` that is not the schedule's own target is a
+/// `target` violation; the function never panics on one.
 #[must_use]
 pub fn check_schedule(
     request: &CompileRequest,
@@ -87,6 +97,20 @@ pub fn check_schedule(
     };
     let name = schedule.loop_.name.clone();
     let mut out = Vec::new();
+
+    if request.arch != schedule.arch() || cfg != schedule.machine() {
+        out.push(Violation::new(
+            "target",
+            &name,
+            format!(
+                "schedule was compiled for {} on the machine\n{}\nbut is checked as {} on the machine\n{}",
+                schedule.arch(),
+                schedule.machine(),
+                request.arch,
+                cfg
+            ),
+        ));
+    }
 
     if let Err(msg) = schedule.validate(&scfg) {
         let tag = VALIDATE_TAGS
@@ -124,10 +148,13 @@ fn check_l0(
     let lat_distinguishes = l0_lat != scfg.l1.latency;
     let n_ops = schedule.loop_.ops.len();
     if schedule.placements.len() != n_ops
-        || schedule.placements.iter().any(|p| p.op.index() >= n_ops)
+        || schedule
+            .placements
+            .iter()
+            .any(|p| p.op.index() >= n_ops || p.cluster.index() >= scfg.clusters)
     {
-        return; // placement-count / unknown-op already reported; nothing
-                // below is indexable
+        return; // placement-count / unknown-op / cluster-range already
+                // reported; nothing below is indexable
     }
 
     // l0-budget: per cluster, Σ entry_cost over L0-latency loads fits.

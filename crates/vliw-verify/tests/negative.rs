@@ -75,6 +75,29 @@ fn placement_of_unknown_op_is_rejected() {
 }
 
 #[test]
+fn placement_in_a_missing_cluster_is_rejected() {
+    // Cluster 4 of the 4-cluster machine does not exist. Every op is
+    // moved in turn, so the L0 checks that index clusters see one too.
+    for arch in [Arch::Baseline, Arch::L0] {
+        let req = CompileRequest::new(arch);
+        let s = compile(&req, &fir(), &cfg());
+        for i in 0..s.placements.len() {
+            let mut moved = s.clone();
+            moved.placements[i].cluster = ClusterId::new(cfg().clusters);
+            assert!(moved
+                .validate(&cfg())
+                .unwrap_err()
+                .starts_with("cluster-range:"));
+            assert_rejected(
+                &check_schedule(&req, &moved, &cfg()),
+                "cluster-range",
+                "fir",
+            );
+        }
+    }
+}
+
+#[test]
 fn fu_oversubscription_is_rejected() {
     let req = CompileRequest::new(Arch::L0);
     let mut s = compile(&req, &fir(), &cfg());

@@ -10,7 +10,7 @@
 
 use clustered_vliw_l0::machine::MachineConfig;
 use clustered_vliw_l0::sched::{Arch, CompileRequest};
-use clustered_vliw_l0::sim::{simulate_arch, SimResult};
+use clustered_vliw_l0::sim::{simulate, SimResult};
 use clustered_vliw_l0::workloads::kernels;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
                 let s = CompileRequest::new(arch)
                     .compile(l, &cfg)
                     .expect("schedulable");
-                merged.merge(&simulate_arch(&s, &cfg, arch));
+                merged.merge(&simulate(&s));
             }
             (arch, merged)
         })

@@ -6,7 +6,7 @@
 
 use clustered_vliw_l0::machine::MachineConfig;
 use clustered_vliw_l0::sched::{Arch, CoherencePolicy, CompileRequest};
-use clustered_vliw_l0::sim::simulate_arch;
+use clustered_vliw_l0::sim::simulate;
 use clustered_vliw_l0::workloads::kernels;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
                     .specialize(specialize)
                     .compile(loop_, &cfg)
                     .expect("schedulable");
-                let r = simulate_arch(&s, &cfg, Arch::L0);
+                let r = simulate(&s);
                 println!(
                     "  {:<26} specialization {:<3}  II={:<3} replicas={:<2} cycles={}",
                     policy_label,

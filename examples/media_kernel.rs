@@ -8,7 +8,7 @@
 
 use clustered_vliw_l0::machine::MachineConfig;
 use clustered_vliw_l0::sched::{Arch, CompileRequest};
-use clustered_vliw_l0::sim::simulate_arch;
+use clustered_vliw_l0::sim::simulate;
 use clustered_vliw_l0::workloads::kernels;
 
 fn main() {
@@ -81,8 +81,8 @@ fn main() {
         );
     }
 
-    let r_base = simulate_arch(&base, &cfg, Arch::Baseline);
-    let r_l0 = simulate_arch(&l0, &cfg, Arch::L0);
+    let r_base = simulate(&base);
+    let r_l0 = simulate(&l0);
     println!();
     println!("baseline:   {} cycles", r_base.total_cycles());
     println!("L0 buffers: {} cycles", r_l0.total_cycles());

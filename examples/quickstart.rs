@@ -52,8 +52,8 @@ fn main() {
     }
 
     // Execute both on the cycle-level simulator.
-    let r_base = simulate_arch(&base, &cfg, Arch::Baseline);
-    let r_l0 = simulate_arch(&with_l0, &cfg, Arch::L0);
+    let r_base = simulate(&base);
+    let r_l0 = simulate(&with_l0);
 
     println!();
     println!(

@@ -14,7 +14,9 @@
 //!   with attraction buffers.
 //! * [`sched`] — modulo scheduling: SMS ordering, the BASE clustered
 //!   scheduler, and the paper's L0-aware scheduling algorithm.
-//! * [`sim`] — the lock-step cycle simulator.
+//! * [`sim`] — the lock-step cycle simulator. A compiled schedule
+//!   records its arch and machine, so [`sim::simulate`] takes the
+//!   schedule alone.
 //! * [`workloads`] — the synthetic Mediabench-like benchmark suite.
 //! * [`service`] — compile-as-a-service: the sharded worker pool over a
 //!   content-addressed artifact cache with symbolic trip-count keys.
@@ -37,7 +39,7 @@
 //! let schedule = CompileRequest::new(Arch::L0)
 //!     .compile(&loop_, &cfg)
 //!     .expect("schedulable");
-//! let result = simulate_arch(&schedule, &cfg, Arch::L0);
+//! let result = simulate(&schedule);
 //! assert!(result.total_cycles() > 0);
 //! ```
 
@@ -56,6 +58,6 @@ pub mod prelude {
         AccessHint, L0Capacity, MachineConfig, MappingHint, MemHints, PrefetchHint,
     };
     pub use vliw_sched::{Arch, CompileRequest, L0Options, Schedule};
-    pub use vliw_sim::{simulate_arch, MemoryModelKind, SimResult};
+    pub use vliw_sim::{simulate, SimResult};
     pub use vliw_workloads::{mediabench_suite, BenchmarkSpec};
 }

@@ -4,7 +4,7 @@
 use clustered_vliw_l0::ir::{LoopBuilder, LoopNest};
 use clustered_vliw_l0::machine::{L0Capacity, MachineConfig};
 use clustered_vliw_l0::sched::{Arch, CompileRequest, Schedule};
-use clustered_vliw_l0::sim::simulate_arch;
+use clustered_vliw_l0::sim::simulate;
 use clustered_vliw_l0::workloads::kernels;
 
 fn cfg() -> MachineConfig {
@@ -28,8 +28,8 @@ fn recurrence_loop_gains_from_l0_latency() {
         l0.ii(),
         base.ii()
     );
-    let rb = simulate_arch(&base, &cfg(), Arch::Baseline);
-    let rl = simulate_arch(&l0, &cfg(), Arch::L0);
+    let rb = simulate(&base);
+    let rl = simulate(&l0);
     assert!(
         (rl.total_cycles() as f64) < 0.75 * rb.total_cycles() as f64,
         "expected a large win: {} vs {}",
@@ -52,11 +52,7 @@ fn every_architecture_compiles_and_runs_every_kernel_shape() {
     for l in &loops {
         for arch in Arch::ALL {
             let s = compile(l, &c, arch);
-            assert!(
-                simulate_arch(&s, &c, arch).total_cycles() > 0,
-                "{}/{arch}",
-                l.name
-            );
+            assert!(simulate(&s).total_cycles() > 0, "{}/{arch}", l.name);
         }
     }
 }
@@ -69,7 +65,7 @@ fn bigger_buffers_never_lose_on_multi_stream_loops() {
         .map(|&e| {
             let c = cfg().with_l0_entries(L0Capacity::Bounded(e));
             let s = compile(&l, &c, Arch::L0);
-            simulate_arch(&s, &c, Arch::L0).total_cycles()
+            simulate(&s).total_cycles()
         })
         .collect();
     assert!(
@@ -87,8 +83,8 @@ fn unbounded_matches_or_beats_sixteen_entries() {
     let cu = cfg().with_l0_entries(L0Capacity::Unbounded);
     let s16 = compile(&l, &c16, Arch::L0);
     let su = compile(&l, &cu, Arch::L0);
-    let r16 = simulate_arch(&s16, &c16, Arch::L0);
-    let ru = simulate_arch(&su, &cu, Arch::L0);
+    let r16 = simulate(&s16);
+    let ru = simulate(&su);
     assert!(ru.total_cycles() <= r16.total_cycles() + r16.total_cycles() / 50);
 }
 
@@ -98,11 +94,7 @@ fn simulation_is_deterministic_across_all_architectures() {
     let c = cfg();
     for arch in Arch::ALL {
         let s = compile(&l, &c, arch);
-        assert_eq!(
-            simulate_arch(&s, &c, arch),
-            simulate_arch(&s, &c, arch),
-            "{arch}"
-        );
+        assert_eq!(simulate(&s), simulate(&s), "{arch}");
     }
 }
 
@@ -132,8 +124,8 @@ fn prefetch_distance_two_helps_small_ii_streams() {
     let d2 = cfg().with_prefetch_distance(2);
     let s1 = compile(&l, &d1, Arch::L0);
     let s2 = compile(&l, &d2, Arch::L0);
-    let r1 = simulate_arch(&s1, &d1, Arch::L0);
-    let r2 = simulate_arch(&s2, &d2, Arch::L0);
+    let r1 = simulate(&s1);
+    let r2 = simulate(&s2);
     assert!(
         r2.stall_cycles < r1.stall_cycles,
         "distance 2 must reduce prefetch-too-late stalls: {} vs {}",
@@ -154,6 +146,6 @@ fn flush_on_exit_isolates_visits() {
     let c = cfg();
     let s = compile(&l, &c, Arch::L0);
     assert!(s.flush_on_exit);
-    let r = simulate_arch(&s, &c, Arch::L0);
+    let r = simulate(&s);
     assert_eq!(r.mem_stats.buffer_flushes, 5 * 4);
 }

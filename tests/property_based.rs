@@ -10,7 +10,7 @@
 use clustered_vliw_l0::ir::{LoopBuilder, LoopNest, MemAccess, OpKind, StridePattern};
 use clustered_vliw_l0::machine::{L0Capacity, MachineConfig};
 use clustered_vliw_l0::sched::{Arch, BackendKind, CompileRequest};
-use clustered_vliw_l0::sim::simulate_arch;
+use clustered_vliw_l0::sim::simulate;
 use vliw_testutil::Rng;
 
 const CASES: u64 = 48;
@@ -94,8 +94,8 @@ fn random_loops_simulate_deterministically() {
         let s = CompileRequest::new(Arch::L0)
             .compile(&l, &cfg)
             .expect("schedulable");
-        let a = simulate_arch(&s, &cfg, Arch::L0);
-        let b = simulate_arch(&s, &cfg, Arch::L0);
+        let a = simulate(&s);
+        let b = simulate(&s);
         assert_eq!(a, b, "case {case}");
     }
 }
@@ -108,7 +108,7 @@ fn stalls_never_make_compute_negative_and_totals_add_up() {
         let base = CompileRequest::new(Arch::Baseline)
             .compile(&l, &cfg)
             .expect("schedulable");
-        let r = simulate_arch(&base, &cfg, Arch::Baseline);
+        let r = simulate(&base);
         assert_eq!(
             r.total_cycles(),
             r.compute_cycles + r.stall_cycles,
@@ -146,7 +146,7 @@ fn capacity_sweep_is_safe_for_any_loop() {
                 let s = CompileRequest::new(Arch::L0)
                     .compile(&l, &cfg)
                     .expect("schedulable");
-                let r = simulate_arch(&s, &cfg, Arch::L0);
+                let r = simulate(&s);
                 let at = format!("{clusters} clusters, case {case}, {entries}");
                 assert!(r.total_cycles() > 0, "{at}");
                 let rate = r.mem_stats.l0_hit_rate();
@@ -154,18 +154,27 @@ fn capacity_sweep_is_safe_for_any_loop() {
             }
             // An unbounded buffer is one no candidate can overflow, at
             // any cluster count: it must mark exactly what a buffer too
-            // large to fill marks.
+            // large to fill marks. The two targets differ (by their L0
+            // size), so every field but the target is compared.
             for backend in BackendKind::ALL {
-                let json = |entries| {
+                let compile = |entries| {
                     let cfg = machine(clusters).with_l0_entries(entries);
-                    let s = CompileRequest::new(Arch::L0)
+                    CompileRequest::new(Arch::L0)
                         .backend(backend)
                         .compile(&l, &cfg)
-                        .expect("schedulable");
-                    serde_json::to_string(&s).expect("schedules serialize")
+                        .expect("schedulable")
                 };
+                let u = compile(L0Capacity::Unbounded);
+                let b = compile(L0Capacity::Bounded(1 << 20));
                 assert!(
-                    json(L0Capacity::Unbounded) == json(L0Capacity::Bounded(1 << 20)),
+                    u.loop_ == b.loop_
+                        && (u.ii(), u.stage_count(), u.mii, u.ii_proof)
+                            == (b.ii(), b.stage_count(), b.mii, b.ii_proof)
+                        && u.placements == b.placements
+                        && u.copies == b.copies
+                        && u.prefetches == b.prefetches
+                        && u.replicas == b.replicas
+                        && (u.flush_on_exit, &u.max_live) == (b.flush_on_exit, &b.max_live),
                     "{clusters} clusters, case {case}, {backend}: unbounded differs from 2^20 entries"
                 );
             }

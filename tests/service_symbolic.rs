@@ -33,7 +33,7 @@ fn every_suite_loop_instantiates_bit_exactly_on_every_arch() {
                     panic!("{}/{:?}: template compiles: {e:?}", loop_.name, arch)
                 });
                 let inst = request
-                    .instantiate(&artifact, TripShape::of(loop_), &cfg)
+                    .instantiate(&artifact, TripShape::of(loop_))
                     .unwrap_or_else(|e| {
                         panic!("{}/{:?}: instantiation is legal: {e:?}", loop_.name, arch)
                     });
@@ -66,7 +66,7 @@ fn templates_serve_bounds_the_suite_never_shipped() {
                 variant.trip_count = trip;
                 let direct = request.compile(&variant, &cfg).expect("direct");
                 let inst = request
-                    .instantiate(&artifact, TripShape::of(&variant), &cfg)
+                    .instantiate(&artifact, TripShape::of(&variant))
                     .expect("instantiation");
                 assert_eq!(
                     json(&direct),

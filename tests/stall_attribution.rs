@@ -13,7 +13,7 @@
 use clustered_vliw_l0::ir::{LoopBuilder, LoopNest, MemAccess, OpKind, StridePattern};
 use clustered_vliw_l0::machine::{InterconnectConfig, MachineConfig};
 use clustered_vliw_l0::sched::{Arch, CompileRequest};
-use clustered_vliw_l0::sim::{simulate_arch, SimResult};
+use clustered_vliw_l0::sim::{simulate, SimResult};
 use vliw_testutil::Rng;
 
 const CASES: u64 = 24;
@@ -97,7 +97,7 @@ fn attribution_is_complete_and_disjoint_on_every_topology() {
             let s = CompileRequest::new(Arch::L0)
                 .compile(&l, &cfg)
                 .unwrap_or_else(|e| panic!("case {case} {name}: {e}"));
-            let r = simulate_arch(&s, &cfg, Arch::L0);
+            let r = simulate(&s);
             check(name, case, &r);
             if cfg.interconnect.is_flat() {
                 assert_eq!(r.contention_stall_cycles, 0, "case {case}");
@@ -105,7 +105,7 @@ fn attribution_is_complete_and_disjoint_on_every_topology() {
                 assert_eq!(r.mshr_merged(), 0, "case {case}");
             }
             // determinism: the attribution replays bit-for-bit
-            assert_eq!(r, simulate_arch(&s, &cfg, Arch::L0), "case {case} {name}");
+            assert_eq!(r, simulate(&s), "case {case} {name}");
         }
     }
 }
@@ -116,6 +116,8 @@ fn network_cycle_delta_equals_the_stall_delta() {
     // uncontended (flat) one: compute cycles are schedule-determined, so
     // the total-cycle delta is exactly the stall delta — all network
     // overhead lands in the stall accounting, none leaks into compute.
+    // `on_network` is the one re-target a schedule allows: the network
+    // is the only part of the machine its legality does not depend on.
     for case in 0..CASES {
         let l = random_loop(case);
         for (name, ic) in topologies() {
@@ -123,9 +125,12 @@ fn network_cycle_delta_equals_the_stall_delta() {
             let s = CompileRequest::new(Arch::L0)
                 .compile(&l, &cfg)
                 .unwrap_or_else(|e| panic!("case {case} {name}: {e}"));
-            let contended = simulate_arch(&s, &cfg, Arch::L0);
-            let flat_cfg = MachineConfig::micro2003();
-            let uncontended = simulate_arch(&s, &flat_cfg, Arch::L0);
+            let contended = simulate(&s);
+            let flat = s
+                .on_network(InterconnectConfig::flat())
+                .unwrap_or_else(|e| panic!("case {case} {name}: {e}"));
+            assert_eq!(flat.machine(), &MachineConfig::micro2003());
+            let uncontended = simulate(&flat);
             assert_eq!(
                 contended.compute_cycles, uncontended.compute_cycles,
                 "case {case} {name}: compute is schedule-determined"
@@ -154,7 +159,7 @@ fn every_arch_attributes_consistently_on_the_mesh() {
             let s = CompileRequest::new(arch)
                 .compile(&l, &cfg)
                 .unwrap_or_else(|e| panic!("case {case} {arch}: {e}"));
-            let r = simulate_arch(&s, &cfg, arch);
+            let r = simulate(&s);
             check("mesh", case, &r);
         }
     }
