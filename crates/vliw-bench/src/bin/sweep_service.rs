@@ -20,6 +20,10 @@
 //! *asserts* the three checksums agree — the service-level statement
 //! that cached artifacts are bit-exact — and that the symbolic hit rate
 //! strictly exceeds the exact one (both counters are deterministic).
+//! It also asserts that each symbolic pass instantiated no more often
+//! than the mix has distinct `(loop, trip)` draws — every repeat of a
+//! draw is served from the template's instance memo. That count is
+//! deterministic work, so it gates where wall-clock cannot.
 //! Then a *throughput* trio re-runs with the checksum serialization off
 //! (the serving configuration) and reports compiles/sec, hit rates,
 //! queue depth and latency percentiles to `BENCH_service.json` via
@@ -28,6 +32,7 @@
 //! off on shared CI runners).
 
 use serde::Serialize;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use vliw_bench::experiment::{materialize_mix, write_json, zipf_mix, BinArgs};
 use vliw_bench::Arch;
@@ -54,6 +59,9 @@ struct ServiceBench {
     requests: u64,
     pool_loops: u64,
     zipf_s: f64,
+    /// Distinct `(loop, trip)` draws in the mix — the bound on each
+    /// symbolic pass's `instantiations`.
+    distinct_draws: u64,
     passes: Vec<ServiceReport>,
     /// Symbolic (warm-cache) throughput over uncached (cold) throughput.
     warm_over_cold: f64,
@@ -71,6 +79,7 @@ fn main() {
     let machine = Arc::new(MachineConfig::micro2003());
     let request = Arc::new(CompileRequest::new(Arch::L0));
     let mix = zipf_mix(pool.len(), requests, ZIPF_S, SEED);
+    let distinct_draws = mix.iter().collect::<BTreeSet<_>>().len() as u64;
 
     let pass = |label: &str, mode: KeyMode, caching: bool, checksum: bool| -> ServiceReport {
         let config = ServiceConfig {
@@ -82,6 +91,11 @@ fn main() {
         let stream = materialize_mix(&mix, &pool, &machine, &request, mode);
         let report = CompileService::new(config).replay(stream);
         assert_eq!(report.errors, 0, "{label}: every suite loop compiles");
+        assert!(
+            report.instantiations <= distinct_draws,
+            "{label}: {} instantiations for {distinct_draws} distinct draws",
+            report.instantiations
+        );
         report
     };
 
@@ -157,6 +171,10 @@ fn main() {
         "\nwarm/cold throughput: {warm_over_cold:.1}x  (queue depth max {}, backpressure waits {})",
         symbolic.queue.max_depth, symbolic.queue.backpressure_waits
     );
+    println!(
+        "symbolic instantiations: {} for {distinct_draws} distinct draws",
+        symbolic.instantiations
+    );
 
     if let Some(path) = args.json_path() {
         write_json(
@@ -165,6 +183,7 @@ fn main() {
                 requests: requests as u64,
                 pool_loops: pool.len() as u64,
                 zipf_s: ZIPF_S,
+                distinct_draws,
                 passes: vec![cold, exact, symbolic],
                 warm_over_cold,
             },

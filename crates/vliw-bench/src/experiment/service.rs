@@ -10,6 +10,7 @@
 //! specific [`ServiceRequest`]s are materialized per pass
 //! ([`materialize_mix`]).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use vliw_ir::{LoopNest, TripShape};
 use vliw_machine::MachineConfig;
@@ -41,11 +42,14 @@ pub fn zipf_mix(pool_len: usize, requests: usize, s: f64, seed: u64) -> Vec<MixD
 
 /// Materializes a mix into key-mode specific [`ServiceRequest`]s.
 ///
-/// Under [`KeyMode::Symbolic`] the content key is trip-invariant, so it
-/// is hashed once per pool loop and shared by every variant
+/// Each distinct draw is built once, with its own trip-shaped loop, and
+/// every request for it is a clone sharing that loop's `Arc`. Under
+/// [`KeyMode::Symbolic`] the content key is trip-invariant, so it is
+/// hashed once per pool loop and shared by every variant
 /// ([`ServiceRequest::with_shape`]); under [`KeyMode::Exact`] the
-/// concrete bounds are part of the address and every variant re-hashes —
-/// the request-side cost of exact keying, on top of its lower hit rate.
+/// concrete bounds are part of the address and every distinct variant
+/// re-hashes — the request-side cost of exact keying, on top of its
+/// lower hit rate.
 pub fn materialize_mix(
     mix: &[MixDraw],
     pool: &[Arc<LoopNest>],
@@ -64,25 +68,31 @@ pub fn materialize_mix(
             )
         })
         .collect();
+    let mut distinct: HashMap<MixDraw, ServiceRequest> = HashMap::new();
     mix.iter()
         .map(|&(li, trip)| {
-            let shape = TripShape {
-                trip_count: trip,
-                visits: bases[li].shape.visits,
-            };
-            match mode {
-                KeyMode::Symbolic => bases[li].with_shape(shape),
-                KeyMode::Exact => {
-                    let mut loop_ = (*bases[li].loop_).clone();
-                    shape.apply(&mut loop_);
-                    ServiceRequest::new(
-                        Arc::new(loop_),
-                        Arc::clone(machine),
-                        Arc::clone(request),
-                        mode,
-                    )
-                }
-            }
+            distinct
+                .entry((li, trip))
+                .or_insert_with(|| {
+                    let shape = TripShape {
+                        trip_count: trip,
+                        visits: bases[li].shape.visits,
+                    };
+                    match mode {
+                        KeyMode::Symbolic => bases[li].with_shape(shape),
+                        KeyMode::Exact => {
+                            let mut loop_ = (*bases[li].loop_).clone();
+                            shape.apply(&mut loop_);
+                            ServiceRequest::new(
+                                Arc::new(loop_),
+                                Arc::clone(machine),
+                                Arc::clone(request),
+                                mode,
+                            )
+                        }
+                    }
+                })
+                .clone()
         })
         .collect()
 }
@@ -119,5 +129,21 @@ mod tests {
         assert_eq!(sym[0].shape.trip_count, 16);
         assert_eq!(sym[1].shape.trip_count, 4096);
         assert_eq!(sym[1].loop_.trip_count, 4096, "shape applied to the loop");
+    }
+
+    #[test]
+    fn repeated_draws_share_one_request() {
+        let pool = pool();
+        let machine = Arc::new(MachineConfig::micro2003());
+        let request = Arc::new(CompileRequest::new(Arch::L0));
+        let mix = vec![(1usize, 64u64), (0, 64), (1, 64), (1, 128)];
+        for mode in [KeyMode::Symbolic, KeyMode::Exact] {
+            let reqs = materialize_mix(&mix, &pool, &machine, &request, mode);
+            assert!(Arc::ptr_eq(&reqs[0].loop_, &reqs[2].loop_), "{mode:?}");
+            assert_eq!(reqs[0].key, reqs[2].key);
+            assert!(!Arc::ptr_eq(&reqs[0].loop_, &reqs[3].loop_), "{mode:?}");
+            assert_eq!(reqs[2].loop_.trip_count, 64);
+            assert_eq!(reqs[3].loop_.trip_count, 128);
+        }
     }
 }

@@ -339,10 +339,11 @@ pub(crate) struct Lowered {
 }
 
 /// Statically-estimated compute cost per *original* iteration — the
-/// quantity step 1 minimizes when choosing the unroll factor.
-fn cost_per_iteration(schedule: &Schedule, unroll_factor: u64) -> f64 {
-    let orig_iters = (schedule.loop_.trip_count * unroll_factor).max(1);
-    schedule.compute_cycles_per_visit() as f64 / orig_iters as f64
+/// quantity step 1 minimizes when choosing the unroll factor — at
+/// `trip_count` iterations per visit of `schedule`'s own loop.
+fn cost_per_iteration(schedule: &Schedule, trip_count: u64, unroll_factor: u64) -> f64 {
+    let orig_iters = (trip_count * unroll_factor).max(1);
+    schedule.compute_cycles_at(trip_count) as f64 / orig_iters as f64
 }
 
 /// Step 1's eligibility gate: unrolling is considered at all only under
@@ -355,10 +356,18 @@ pub(crate) fn unroll_eligible(policy: UnrollPolicy, n: usize, trip_count: u64) -
 
 /// Step 1's tie-break between the two candidate schedules: the unrolled
 /// version wins only when *strictly* cheaper per original iteration.
-/// Shared with symbolic instantiation so both paths run the identical
-/// floating-point comparison.
-pub(crate) fn unrolled_wins(flat: &Schedule, unrolled: &Schedule, n: usize) -> bool {
-    cost_per_iteration(unrolled, n as u64) < cost_per_iteration(flat, 1)
+/// `flat_trip` and `unrolled_trip` are the candidates' trip counts: their
+/// own loops' on the direct path, the request's patched bounds on
+/// symbolic instantiation, which decides before cloning either. Shared
+/// by both paths so they run the identical floating-point comparison.
+pub(crate) fn unrolled_wins(
+    flat: &Schedule,
+    flat_trip: u64,
+    unrolled: &Schedule,
+    unrolled_trip: u64,
+    n: usize,
+) -> bool {
+    cost_per_iteration(unrolled, unrolled_trip, n as u64) < cost_per_iteration(flat, flat_trip, 1)
 }
 
 /// Steps 4–5 of §4.3 (L0 target only): hint assignment, explicit

@@ -136,7 +136,11 @@ impl CompileRequest {
         let n = lowered.cfg.clusters;
         let mut winner = stage(&mut stats, "select-unroll", || {
             Ok(match unrolled {
-                Some(u) if unrolled_wins(&flat, &u, n) => u,
+                Some(u)
+                    if unrolled_wins(&flat, flat.loop_.trip_count, &u, u.loop_.trip_count, n) =>
+                {
+                    u
+                }
                 _ => flat,
             })
         })?;

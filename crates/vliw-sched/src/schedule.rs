@@ -239,7 +239,13 @@ impl Schedule {
     /// Cycles one visit of the loop takes without stalls:
     /// `(trip − 1)·II + SC·II` (kernel plus prologue/epilogue drain).
     pub fn compute_cycles_per_visit(&self) -> u64 {
-        let trip = self.loop_.trip_count.max(1);
+        self.compute_cycles_at(self.loop_.trip_count)
+    }
+
+    /// [`compute_cycles_per_visit`](Self::compute_cycles_per_visit) at
+    /// `trip_count` iterations per visit instead of the loop's own.
+    pub(crate) fn compute_cycles_at(&self, trip_count: u64) -> u64 {
+        let trip = trip_count.max(1);
         (trip - 1) * self.ii as u64 + (self.stage_count as u64) * self.ii as u64
     }
 

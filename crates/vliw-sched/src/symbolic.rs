@@ -16,18 +16,22 @@
 //! normalized template ([`vliw_ir::normalize_trips`]) once — both the
 //! flat version and, when the policy allows, the unrolled-by-N
 //! candidate — and stores *both* finished schedules in a
-//! [`SymbolicArtifact`]. [`CompileRequest::instantiate`] patches the
-//! real [`TripShape`] back in, replays decisions 1–2 through the exact
-//! same predicates the direct path uses (`unroll_eligible`,
-//! `unrolled_wins` — one shared implementation, so the floating-point
-//! comparison cannot drift), and re-checks schedule legality
+//! [`SymbolicArtifact`]. [`CompileRequest::instantiate`] replays
+//! decisions 1–2 for the real [`TripShape`] on the borrowed candidates,
+//! through the exact same predicates the direct path uses
+//! (`unroll_eligible`, `unrolled_wins` — one shared implementation, so
+//! the floating-point comparison cannot drift), clones only the winner,
+//! patches the real bounds into it, and re-checks schedule legality
 //! ([`Schedule::validate`] plus the II ≥ MII invariant) before handing
-//! the schedule out. The artifact's schedules carry their target (arch
-//! and machine), so instantiation needs no machine argument and checks
-//! against the artifact's own scheduling view. The result is bit-exact with
-//! [`CompileRequest::compile`] on the un-normalized loop; the
-//! `service_symbolic` integration suite pins that equality across every
-//! suite loop × architecture.
+//! the schedule out. That is one clone and one validation per call, so
+//! the compile service calls it once per distinct (template, trip
+//! shape) and serves every repeat of that pair the same shared,
+//! already-checked schedule. The artifact's schedules carry their
+//! target (arch and machine), so instantiation needs no machine argument
+//! and checks against the artifact's own scheduling view. The result is
+//! bit-exact with [`CompileRequest::compile`] on the un-normalized loop;
+//! the `service_symbolic` integration suite pins that equality across
+//! every suite loop × architecture.
 
 use crate::compile::{unroll_eligible, unrolled_wins, CompileRequest};
 use crate::engine::ScheduleError;
@@ -78,11 +82,15 @@ impl CompileRequest {
     }
 
     /// Instantiates a cached template for a concrete [`TripShape`]:
-    /// patches the bounds back in, replays the step-1 flat-vs-unrolled
-    /// decision with the real trip count, and re-checks legality.
+    /// replays the step-1 flat-vs-unrolled decision with the real trip
+    /// count, clones the winning candidate, patches the bounds into it,
+    /// and re-checks legality.
     ///
-    /// Bit-exact with compiling the concrete loop directly, at clone
-    /// cost instead of scheduling cost.
+    /// Bit-exact with compiling the concrete loop directly, at the cost
+    /// of one schedule clone and one validation instead of scheduling.
+    /// The result depends only on this request, `artifact` and `shape`,
+    /// so a caller serving many requests may keep it per shape and
+    /// share it.
     ///
     /// # Errors
     ///
@@ -98,22 +106,24 @@ impl CompileRequest {
     ) -> Result<Schedule, ScheduleError> {
         let scfg = artifact.flat.scheduling_view();
         let n = scfg.clusters;
-        let mut flat = artifact.flat.clone();
-        shape.apply(&mut flat.loop_);
+        // Mirror `vliw_ir::unroll`'s bound rewrite for the real trip
+        // count; visits are per-entry, not per-iteration.
+        let unrolled_trip = (shape.trip_count / n as u64).max(1);
         let winner = match &artifact.unrolled {
-            Some(u) if unroll_eligible(self.unroll, n, shape.trip_count) => {
+            Some(u)
+                if unroll_eligible(self.unroll, n, shape.trip_count)
+                    && unrolled_wins(&artifact.flat, shape.trip_count, u, unrolled_trip, n) =>
+            {
                 let mut u = u.clone();
-                // Mirror `vliw_ir::unroll`'s bound rewrite for the real
-                // trip count; visits are per-entry, not per-iteration.
-                u.loop_.trip_count = (shape.trip_count / n as u64).max(1);
+                u.loop_.trip_count = unrolled_trip;
                 u.loop_.visits = shape.visits;
-                if unrolled_wins(&flat, &u, n) {
-                    u
-                } else {
-                    flat
-                }
+                u
             }
-            _ => flat,
+            _ => {
+                let mut flat = artifact.flat.clone();
+                shape.apply(&mut flat.loop_);
+                flat
+            }
         };
         if winner.ii() < winner.mii {
             return Err(ScheduleError::BadConfig(format!(

@@ -116,8 +116,8 @@ pub enum KeyMode {
     Exact,
     /// The loop is trip-normalized before hashing
     /// ([`vliw_ir::normalize_trips`]): requests differing only in trip
-    /// count share one key, and the artifact is re-instantiated per
-    /// request.
+    /// count share one key, and the artifact is instantiated once per
+    /// distinct trip shape.
     Symbolic,
 }
 

@@ -43,9 +43,11 @@
 //!     })
 //!     .collect();
 //! let report = CompileService::new(ServiceConfig::default()).replay(stream);
-//! // … compile once, instantiate three times.
+//! // … compile once, instantiate once per distinct bound: the repeat
+//! // of 64 is served the memoized instance.
 //! assert_eq!(report.store.misses, 1);
 //! assert_eq!(report.store.hits, 3);
+//! assert_eq!(report.instantiations, 3);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -24,7 +24,7 @@ use crate::key::{compile_key, ArtifactKey, KeyBuilder, KeyMode};
 use crate::store::{ArtifactStore, StoreStats};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -47,7 +47,8 @@ pub struct ServiceConfig {
     /// warm throughput ratio is measured against.
     pub caching: bool,
     /// Fold every served schedule into a commutative checksum
-    /// (serialization cost per request; enable on verification passes).
+    /// (serialization cost per stored or freshly compiled schedule;
+    /// enable on verification passes).
     pub checksum: bool,
 }
 
@@ -167,6 +168,11 @@ pub struct ServiceReport {
     pub served: u64,
     /// Requests that failed to compile.
     pub errors: u64,
+    /// `CompileRequest::instantiate` calls: at most one per distinct
+    /// (template, trip shape) while the template's instance memo holds,
+    /// plus one per request whose instantiation failed. A deterministic
+    /// work count (0 outside symbolic caching).
+    pub instantiations: u64,
     /// End-to-end replay wall clock (telemetry; varies run to run).
     pub wall_micros: u64,
     /// Served requests per second of wall clock.
@@ -189,15 +195,74 @@ pub struct ServiceReport {
     pub failures: Vec<FailureRecord>,
 }
 
-/// What a shard caches: the direct schedule under exact keys, the
-/// trip-independent template under symbolic keys (boxed — the template
-/// holds two full candidate schedules, and store entries move through
-/// the LRU index), or the failure of the key's compile, so a repeat of
-/// a failing key is answered without compiling again.
+/// What a shard caches: the shared direct schedule under exact keys,
+/// the trip-independent template with its instance memo under symbolic
+/// keys (boxed — the template holds two full candidate schedules, and
+/// store entries move through the LRU index), or the failure of the
+/// key's compile, so a repeat of a failing key is answered without
+/// compiling again. A hit on a schedule — an exact entry or a memoized
+/// instance — hands out an `Arc::clone` of the stored object.
 enum CachedArtifact {
-    Exact(Box<Schedule>),
-    Symbolic(Box<SymbolicArtifact>),
+    Exact(Served),
+    Symbolic(Box<Template>),
     Failed(FailureRecord),
+}
+
+/// A schedule as the service hands it out: shared by every request it
+/// answers, with its checksum digest taken once when the pass
+/// checksums.
+#[derive(Clone)]
+struct Served {
+    schedule: Arc<Schedule>,
+    digest: Option<u64>,
+}
+
+impl Served {
+    fn new(schedule: Schedule, checksum: bool) -> Self {
+        Served {
+            digest: checksum.then(|| schedule_digest(&schedule)),
+            schedule: Arc::new(schedule),
+        }
+    }
+}
+
+/// A symbolic store entry: the template plus the schedules it has been
+/// instantiated to, by trip shape. The memo lives and is evicted with
+/// its template; under a bounded store it holds at most
+/// `store_capacity` instances and starts over before it would exceed
+/// that.
+struct Template {
+    artifact: SymbolicArtifact,
+    instances: HashMap<TripShape, Served>,
+}
+
+impl Template {
+    /// The instance of this template for `req`'s trip shape. Only a
+    /// successful instantiation is memoized: a failure concerns one
+    /// request and is reported again for the next.
+    fn instance(
+        &mut self,
+        req: &ServiceRequest,
+        config: &ServiceConfig,
+        instantiations: &mut u64,
+    ) -> Result<Served, FailureRecord> {
+        if let Some(served) = self.instances.get(&req.shape) {
+            return Ok(served.clone());
+        }
+        *instantiations += 1;
+        let schedule = req
+            .request
+            .instantiate(&self.artifact, req.shape)
+            .map_err(|e| failure(req.key, &e))?;
+        let served = Served::new(schedule, config.checksum);
+        if let Some(cap) = config.store_capacity {
+            if self.instances.len() >= cap.max(1) {
+                self.instances.clear();
+            }
+        }
+        self.instances.insert(req.shape, served.clone());
+        Ok(served)
+    }
 }
 
 struct Job {
@@ -300,6 +365,7 @@ struct ShardOutcome {
     latencies: Vec<u64>,
     served: u64,
     errors: u64,
+    instantiations: u64,
     failures: Vec<FailureRecord>,
     checksum: u64,
 }
@@ -325,48 +391,51 @@ fn guarded<T>(
     }
 }
 
-/// Serve one request against a shard's private store. A failed compile
-/// is stored under the key like an artifact, so repeats fail from the
+/// Serve one request against a shard's private store, counting
+/// `instantiate` calls into `instantiations`. A failed compile is
+/// stored under the key like an artifact, so repeats fail from the
 /// store; a failed instantiation concerns one trip shape and is not.
 fn serve(
     store: &mut ArtifactStore<CachedArtifact>,
     config: &ServiceConfig,
     req: &ServiceRequest,
-) -> Result<Schedule, FailureRecord> {
+    instantiations: &mut u64,
+) -> Result<Served, FailureRecord> {
     let key = req.key;
+    let compile = || req.request.compile(&req.loop_, &req.machine);
     if !config.caching {
-        return guarded(key, || req.request.compile(&req.loop_, &req.machine));
+        return guarded(key, compile).map(|s| Served::new(s, config.checksum));
     }
-    match (config.key_mode, store.get(&key)) {
+    match (config.key_mode, store.get_mut(&key)) {
         (_, Some(CachedArtifact::Failed(f))) => Err(f.clone()),
-        (KeyMode::Exact, Some(CachedArtifact::Exact(s))) => Ok((**s).clone()),
-        (KeyMode::Symbolic, Some(CachedArtifact::Symbolic(a))) => req
-            .request
-            .instantiate(a, req.shape)
-            .map_err(|e| failure(key, &e)),
+        (KeyMode::Exact, Some(CachedArtifact::Exact(s))) => Ok(s.clone()),
+        (KeyMode::Symbolic, Some(CachedArtifact::Symbolic(t))) => {
+            t.instance(req, config, instantiations)
+        }
         (KeyMode::Exact, _) => {
-            let compiled = guarded(key, || req.request.compile(&req.loop_, &req.machine));
-            let (entry, bytes) = match &compiled {
-                Ok(s) => (CachedArtifact::Exact(Box::new(s.clone())), json_bytes(s)),
+            let served = guarded(key, compile).map(|s| Served::new(s, config.checksum));
+            let (entry, bytes) = match &served {
+                Ok(s) => (CachedArtifact::Exact(s.clone()), json_bytes(&*s.schedule)),
                 Err(f) => (CachedArtifact::Failed(f.clone()), json_bytes(f)),
             };
             store.insert(key, entry, bytes);
-            compiled
+            served
         }
         (KeyMode::Symbolic, _) => {
-            let a = guarded(key, || {
+            let artifact = guarded(key, || {
                 req.request.compile_symbolic(&req.loop_, &req.machine)
             })
             .inspect_err(|f| {
                 store.insert(key, CachedArtifact::Failed(f.clone()), json_bytes(f));
             })?;
-            let s = req
-                .request
-                .instantiate(&a, req.shape)
-                .map_err(|e| failure(key, &e));
-            let bytes = json_bytes(&a);
-            store.insert(key, CachedArtifact::Symbolic(Box::new(a)), bytes);
-            s
+            let bytes = json_bytes(&artifact);
+            let mut template = Box::new(Template {
+                artifact,
+                instances: HashMap::new(),
+            });
+            let served = template.instance(req, config, instantiations);
+            store.insert(key, CachedArtifact::Symbolic(template), bytes);
+            served
         }
     }
 }
@@ -378,7 +447,7 @@ fn json_bytes<T: Serialize>(value: &T) -> u64 {
 }
 
 /// Content digest of one served schedule, folded commutatively into the
-/// pass checksum.
+/// pass checksum. Taken once per stored or freshly compiled schedule.
 fn schedule_digest(s: &Schedule) -> u64 {
     KeyBuilder::new().field("schedule", s).finish().hi
 }
@@ -406,6 +475,7 @@ fn run_shard(queue: &BoundedQueue<Job>, config: &ServiceConfig) -> ShardOutcome 
         latencies: Vec::new(),
         served: 0,
         errors: 0,
+        instantiations: 0,
         failures: Vec::new(),
         checksum: 0,
     };
@@ -414,13 +484,15 @@ fn run_shard(queue: &BoundedQueue<Job>, config: &ServiceConfig) -> ShardOutcome 
         // around each compile step, to store the failure; this catches
         // one in `instantiate`. The store is safe to keep using: `serve`
         // touches it only before and after a compile step.
-        let served = panic::catch_unwind(AssertUnwindSafe(|| serve(&mut store, config, &job.req)))
-            .unwrap_or_else(|payload| Err(panic_failure(job.req.key, payload.as_ref())));
+        let served = panic::catch_unwind(AssertUnwindSafe(|| {
+            serve(&mut store, config, &job.req, &mut outcome.instantiations)
+        }))
+        .unwrap_or_else(|payload| Err(panic_failure(job.req.key, payload.as_ref())));
         match served {
             Ok(s) => {
                 outcome.served += 1;
-                if config.checksum {
-                    outcome.checksum = outcome.checksum.wrapping_add(schedule_digest(&s));
+                if let Some(digest) = s.digest {
+                    outcome.checksum = outcome.checksum.wrapping_add(digest);
                 }
             }
             Err(failure) => {
@@ -491,6 +563,7 @@ impl CompileService {
         let mut latencies = Vec::new();
         let mut served = 0;
         let mut errors = 0;
+        let mut instantiations = 0;
         let mut failures = Vec::new();
         let mut checksum = 0u64;
         for slot in &outcomes {
@@ -499,6 +572,7 @@ impl CompileService {
             latencies.extend(outcome.latencies);
             served += outcome.served;
             errors += outcome.errors;
+            instantiations += outcome.instantiations;
             failures.extend(outcome.failures);
             checksum = checksum.wrapping_add(outcome.checksum);
         }
@@ -519,6 +593,7 @@ impl CompileService {
             requests: total,
             served,
             errors,
+            instantiations,
             wall_micros,
             compiles_per_sec: served as f64 / (wall_micros as f64 / 1_000_000.0),
             store,
@@ -623,6 +698,8 @@ mod tests {
         assert_eq!(report.store.misses, 1);
         assert_eq!(report.store.hits, trips.len() as u64 - 1);
         assert_eq!(report.store.insertions, 1);
+        // Five distinct trip shapes, each instantiated once.
+        assert_eq!(report.instantiations, 5);
     }
 
     #[test]
@@ -633,6 +710,94 @@ mod tests {
         // Five distinct trip counts -> five misses; three repeats hit.
         assert_eq!(report.store.misses, 5);
         assert_eq!(report.store.hits, 3);
+        assert_eq!(report.instantiations, 0);
+    }
+
+    /// Serves `reqs` in order against one fresh shard store, returning
+    /// the store and the `instantiate` count with the results.
+    fn serve_in_order(
+        cfg: &ServiceConfig,
+        reqs: &[ServiceRequest],
+        store: &mut ArtifactStore<CachedArtifact>,
+    ) -> (Vec<Result<Served, FailureRecord>>, u64) {
+        let mut instantiations = 0;
+        let served = reqs
+            .iter()
+            .map(|r| serve(store, cfg, r, &mut instantiations))
+            .collect();
+        (served, instantiations)
+    }
+
+    #[test]
+    fn repeated_requests_share_one_schedule() {
+        for mode in [KeyMode::Exact, KeyMode::Symbolic] {
+            let cfg = config(mode, true);
+            let mut store = ArtifactStore::new(None);
+            let (served, instantiations) =
+                serve_in_order(&cfg, &requests(&[64, 256, 64], mode), &mut store);
+            let s: Vec<Served> = served.into_iter().map(|r| r.expect("serves")).collect();
+            assert!(Arc::ptr_eq(&s[0].schedule, &s[2].schedule), "{mode:?}");
+            assert!(!Arc::ptr_eq(&s[0].schedule, &s[1].schedule), "{mode:?}");
+            assert!(s[0].digest.is_some() && s[0].digest == s[2].digest);
+            let expected = if mode == KeyMode::Symbolic { 2 } else { 0 };
+            assert_eq!(instantiations, expected, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_bounded_store_bounds_each_instance_memo() {
+        let cfg = ServiceConfig {
+            store_capacity: Some(2),
+            ..config(KeyMode::Symbolic, true)
+        };
+        let trips = [16u64, 32, 64, 128, 256, 1024, 16, 4096, 64, 32];
+        let mut store = ArtifactStore::new(cfg.store_capacity);
+        let mut instantiations = 0;
+        for req in requests(&trips, KeyMode::Symbolic) {
+            serve(&mut store, &cfg, &req, &mut instantiations).expect("serves");
+            let Some(CachedArtifact::Symbolic(t)) = store.peek(&req.key) else {
+                panic!("the template is stored");
+            };
+            assert!(t.instances.len() <= 2, "{} instances", t.instances.len());
+        }
+        let cold = CompileService::new(config(KeyMode::Symbolic, false))
+            .replay(requests(&trips, KeyMode::Symbolic));
+        let bounded = CompileService::new(cfg).replay(requests(&trips, KeyMode::Symbolic));
+        assert!(cold.checksum.is_some());
+        assert_eq!(bounded.checksum, cold.checksum);
+    }
+
+    #[test]
+    fn failed_instantiations_are_not_memoized() {
+        let cfg = config(KeyMode::Symbolic, true);
+        let reqs = requests(&[64, 64], KeyMode::Symbolic);
+        let req = &reqs[0];
+        let mut artifact = req
+            .request
+            .compile_symbolic(&req.loop_, &req.machine)
+            .expect("template compiles");
+        // A template altered after it was compiled: no candidate meets
+        // its MII, so every instantiation fails the legality re-check.
+        artifact.flat.mii = artifact.flat.ii() + 1;
+        if let Some(u) = &mut artifact.unrolled {
+            u.mii = u.ii() + 1;
+        }
+        let template = Template {
+            artifact,
+            instances: HashMap::new(),
+        };
+        let mut store = ArtifactStore::new(None);
+        store.insert(req.key, CachedArtifact::Symbolic(Box::new(template)), 0);
+        let (served, instantiations) = serve_in_order(&cfg, &reqs, &mut store);
+        for r in served {
+            let f = r.err().expect("instantiation fails");
+            assert!(f.error.contains("below MII"), "{}", f.error);
+        }
+        assert_eq!(instantiations, 2, "each request instantiates again");
+        let Some(CachedArtifact::Symbolic(t)) = store.peek(&req.key) else {
+            panic!("the template stays stored");
+        };
+        assert!(t.instances.is_empty());
     }
 
     #[test]

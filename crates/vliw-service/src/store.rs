@@ -100,6 +100,13 @@ impl<V> ArtifactStore<V> {
     /// Counted lookup: a hit refreshes the entry's recency, a miss is
     /// recorded. This is the serve-path accessor.
     pub fn get(&mut self, key: &ArtifactKey) -> Option<&V> {
+        self.get_mut(key).map(|v| &*v)
+    }
+
+    /// [`get`](Self::get), counted the same way, for an artifact that
+    /// carries state of its own (the compile service's per-template
+    /// instance memo).
+    pub fn get_mut(&mut self, key: &ArtifactKey) -> Option<&mut V> {
         let next_tick = self.next_tick;
         match self.entries.get_mut(key) {
             Some(entry) => {
@@ -108,7 +115,7 @@ impl<V> ArtifactStore<V> {
                 entry.tick = next_tick;
                 self.by_recency.insert(next_tick, *key);
                 self.next_tick += 1;
-                Some(&entry.value)
+                Some(&mut entry.value)
             }
             None => {
                 self.stats.misses += 1;
@@ -179,6 +186,21 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
         assert_eq!(stats.insert_bytes, 4);
         assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn get_mut_counts_and_refreshes_like_get() {
+        let mut s: ArtifactStore<u32> = ArtifactStore::new(Some(2));
+        assert!(s.get_mut(&key(1)).is_none());
+        s.insert(key(1), 1, 0);
+        s.insert(key(2), 2, 0);
+        *s.get_mut(&key(1)).expect("live entry") += 10;
+        // The write landed, and key(1) is now the most recently used.
+        s.insert(key(3), 3, 0);
+        assert_eq!(s.peek(&key(1)), Some(&11));
+        assert!(s.peek(&key(2)).is_none(), "LRU entry evicted");
+        let stats = s.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
