@@ -14,7 +14,9 @@
 //!
 //! Work is distributed over `std::thread::available_parallelism` threads
 //! with a shared atomic index; results always come back in input order,
-//! so parallel execution is observationally identical to serial.
+//! so parallel execution is observationally identical to serial. There
+//! is no `scope`: code that needs long-lived worker threads uses
+//! `std::thread::scope` directly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -78,28 +80,6 @@ impl<T: Send, F> ParMap<T, F> {
     }
 }
 
-/// Scoped task spawning (rayon's `scope`): `f` receives a [`Scope`] whose
-/// [`spawn`](Scope::spawn) runs closures on their own threads; all spawned
-/// tasks complete before `scope` returns. Backed by [`std::thread::scope`],
-/// so unlike real rayon each spawn is a real thread — callers here spawn
-/// one task per worker, not per item.
-pub fn scope<'env, R>(f: impl for<'scope> FnOnce(&Scope<'scope, 'env>) -> R) -> R {
-    std::thread::scope(|s| f(&Scope { inner: s }))
-}
-
-/// The spawn handle passed to [`scope`]'s closure.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a task that may borrow from the enclosing scope; joined
-    /// when the [`scope`] call returns.
-    pub fn spawn<F: FnOnce() + Send + 'scope>(&self, f: F) {
-        self.inner.spawn(f);
-    }
-}
-
 fn parallel_map<T: Send, R: Send>(items: Vec<T>, f: &(impl Fn(T) -> R + Sync)) -> Vec<R> {
     let n = items.len();
     let threads = std::thread::available_parallelism()
@@ -150,20 +130,6 @@ mod tests {
     fn empty_input_is_fine() {
         let out: Vec<u8> = Vec::<u8>::new().into_par_iter().map(|x| x).collect();
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn scope_joins_all_spawned_tasks() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let done = AtomicUsize::new(0);
-        super::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    done.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(done.load(Ordering::SeqCst), 8);
     }
 
     #[test]

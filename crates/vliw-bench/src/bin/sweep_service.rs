@@ -151,18 +151,17 @@ fn main() {
         pool.len()
     );
     println!(
-        "{:>9} {:>12} {:>9} {:>8} {:>8} {:>10} {:>9} {:>9}",
-        "pass", "compiles/s", "hit rate", "misses", "evicted", "bytes-in", "p50 us", "p99 us"
+        "{:>9} {:>12} {:>9} {:>8} {:>8} {:>9} {:>9}",
+        "pass", "compiles/s", "hit rate", "misses", "evicted", "p50 us", "p99 us"
     );
     for report in [&cold, &exact, &symbolic] {
         println!(
-            "{:>9} {:>12.0} {:>9.3} {:>8} {:>8} {:>10} {:>9} {:>9}",
+            "{:>9} {:>12.0} {:>9.3} {:>8} {:>8} {:>9} {:>9}",
             report.mode,
             report.compiles_per_sec,
             report.hit_rate,
             report.store.misses,
             report.store.evictions,
-            report.store.insert_bytes,
             report.latency_p50_micros,
             report.latency_p99_micros,
         );

@@ -367,7 +367,7 @@ pub fn run_grid(grid: &SweepGrid, mode: ExecMode) -> GridResult {
                 None => {
                     baseline_jobs.push((bi, bcfg));
                     let job = baseline_jobs.len() - 1;
-                    baseline_memo.insert(bkey, job, 0);
+                    baseline_memo.insert(bkey, job);
                     job
                 }
             };
@@ -385,7 +385,7 @@ pub fn run_grid(grid: &SweepGrid, mode: ExecMode) -> GridResult {
                 None => {
                     base_jobs.push((bi, cfg, request, variant.selective_flush));
                     let job = base_jobs.len() - 1;
-                    base_memo.insert(key, job, 0);
+                    base_memo.insert(key, job);
                     job
                 }
             };

@@ -45,10 +45,10 @@ pub fn zipf_mix(pool_len: usize, requests: usize, s: f64, seed: u64) -> Vec<MixD
 /// Each distinct draw is built once, with its own trip-shaped loop, and
 /// every request for it is a clone sharing that loop's `Arc`. Under
 /// [`KeyMode::Symbolic`] the content key is trip-invariant, so it is
-/// hashed once per pool loop and shared by every variant
+/// hashed once per pool loop the mix draws and shared by every variant
 /// ([`ServiceRequest::with_shape`]); under [`KeyMode::Exact`] the
 /// concrete bounds are part of the address and every distinct variant
-/// re-hashes — the request-side cost of exact keying, on top of its
+/// hashes its own — the request-side cost of exact keying, on top of its
 /// lower hit rate.
 pub fn materialize_mix(
     mix: &[MixDraw],
@@ -57,17 +57,10 @@ pub fn materialize_mix(
     request: &Arc<CompileRequest>,
     mode: KeyMode,
 ) -> Vec<ServiceRequest> {
-    let bases: Vec<ServiceRequest> = pool
-        .iter()
-        .map(|l| {
-            ServiceRequest::new(
-                Arc::clone(l),
-                Arc::clone(machine),
-                Arc::clone(request),
-                mode,
-            )
-        })
-        .collect();
+    let build = |loop_: Arc<LoopNest>| {
+        ServiceRequest::new(loop_, Arc::clone(machine), Arc::clone(request), mode)
+    };
+    let mut bases: HashMap<usize, ServiceRequest> = HashMap::new();
     let mut distinct: HashMap<MixDraw, ServiceRequest> = HashMap::new();
     mix.iter()
         .map(|&(li, trip)| {
@@ -76,19 +69,17 @@ pub fn materialize_mix(
                 .or_insert_with(|| {
                     let shape = TripShape {
                         trip_count: trip,
-                        visits: bases[li].shape.visits,
+                        ..TripShape::of(&pool[li])
                     };
                     match mode {
-                        KeyMode::Symbolic => bases[li].with_shape(shape),
+                        KeyMode::Symbolic => bases
+                            .entry(li)
+                            .or_insert_with(|| build(Arc::clone(&pool[li])))
+                            .with_shape(shape),
                         KeyMode::Exact => {
-                            let mut loop_ = (*bases[li].loop_).clone();
+                            let mut loop_ = (*pool[li]).clone();
                             shape.apply(&mut loop_);
-                            ServiceRequest::new(
-                                Arc::new(loop_),
-                                Arc::clone(machine),
-                                Arc::clone(request),
-                                mode,
-                            )
+                            build(Arc::new(loop_))
                         }
                     }
                 })

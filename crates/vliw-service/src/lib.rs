@@ -11,12 +11,12 @@
 //!   out of it ([`KeyMode::Symbolic`], the multiplier — see
 //!   [`vliw_sched::symbolic`]).
 //! * [`store`] — the content-addressed [`ArtifactStore`]: LRU capacity,
-//!   hit/miss/eviction/insert-bytes telemetry ([`StoreStats`]) that
-//!   rides along in experiment artifacts and service reports.
+//!   hit/miss/insertion/eviction telemetry ([`StoreStats`]) that rides
+//!   along in experiment artifacts and service reports.
 //! * [`service`] — the sharded [`CompileService`]: bounded per-shard
-//!   queues with backpressure, one worker and one private store per
-//!   shard, latency percentiles and a commutative result checksum in
-//!   the [`ServiceReport`].
+//!   channels with backpressure, one scoped worker thread and one
+//!   private store per shard, latency percentiles and a commutative
+//!   result checksum in the [`ServiceReport`].
 //!
 //! [`zipf`] supplies the deterministic skewed request mix the
 //! `sweep_service` replay harness drives all of this with.

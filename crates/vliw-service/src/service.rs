@@ -5,10 +5,14 @@
 //! requests for one artifact land on one shard — each shard's
 //! [`ArtifactStore`] is single-owner (no locks on the serve path) and
 //! its hit/miss sequence is a deterministic function of the request
-//! stream. Queues are bounded: a full shard queue blocks the producer
+//! stream. Each shard's queue is a bounded `std::sync::mpsc`
+//! `sync_channel` drained by one `std::thread::scope` worker; the
+//! calling thread is the producer and hangs up once the stream is
+//! routed, which ends the workers. A full queue blocks the producer
 //! (backpressure), and both the block count and the high-water queue
 //! depth are reported, so saturation is visible in the artifact rather
-//! than silently absorbed.
+//! than silently absorbed. A compiler panic fails its request only:
+//! every compile and instantiation runs behind one panic boundary.
 //!
 //! Everything timing-based in a [`ServiceReport`] (wall clock,
 //! latency percentiles, queue depths) is telemetry and varies run to
@@ -23,10 +27,12 @@
 use crate::key::{compile_key, ArtifactKey, KeyBuilder, KeyMode};
 use crate::store::{ArtifactStore, StoreStats};
 use serde::{Deserialize, Serialize};
-use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, TrySendError};
+use std::sync::Arc;
+use std::thread;
 use std::time::Instant;
 use vliw_ir::{LoopNest, TripShape};
 use vliw_machine::MachineConfig;
@@ -118,24 +124,14 @@ impl ServiceRequest {
     }
 }
 
-/// Queue telemetry for one shard (or the merge across shards).
+/// Queue telemetry of one replay, across its shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueStats {
-    /// Deepest any shard queue got.
+    /// Deepest any shard queue got, as seen by the producer after each
+    /// send (at most the queue capacity).
     pub max_depth: u64,
-    /// Producer blocks on a full shard queue.
+    /// Sends that found their shard's queue full and blocked.
     pub backpressure_waits: u64,
-}
-
-impl QueueStats {
-    /// Merge across shards: depths take the max, waits sum.
-    #[must_use]
-    pub fn merged(&self, other: &QueueStats) -> QueueStats {
-        QueueStats {
-            max_depth: self.max_depth.max(other.max_depth),
-            backpressure_waits: self.backpressure_waits + other.backpressure_waits,
-        }
-    }
 }
 
 /// One failed compile, fully attributable: which artifact, which
@@ -181,7 +177,7 @@ pub struct ServiceReport {
     pub store: StoreStats,
     /// Cache hit fraction (0 for uncached passes).
     pub hit_rate: f64,
-    /// Merged queue telemetry.
+    /// Queue telemetry across shards.
     pub queue: QueueStats,
     /// Median enqueue→served latency in microseconds.
     pub latency_p50_micros: u64,
@@ -213,6 +209,7 @@ enum CachedArtifact {
 /// checksums.
 #[derive(Clone)]
 struct Served {
+    #[allow(dead_code, reason = "what a client receives; a replay only counts it")]
     schedule: Arc<Schedule>,
     digest: Option<u64>,
 }
@@ -250,10 +247,9 @@ impl Template {
             return Ok(served.clone());
         }
         *instantiations += 1;
-        let schedule = req
-            .request
-            .instantiate(&self.artifact, req.shape)
-            .map_err(|e| failure(req.key, &e))?;
+        let schedule = guarded(req.key, || {
+            req.request.instantiate(&self.artifact, req.shape)
+        })?;
         let served = Served::new(schedule, config.checksum);
         if let Some(cap) = config.store_capacity {
             if self.instances.len() >= cap.max(1) {
@@ -270,125 +266,38 @@ struct Job {
     enqueued: Instant,
 }
 
-struct QueueState<T> {
-    q: VecDeque<T>,
-    closed: bool,
-    stats: QueueStats,
-}
-
-/// Locks `m` even if a panicking thread poisoned it. Every critical
-/// section in this module is a handful of field updates that leave the
-/// state consistent, so a poisoned lock carries no meaning here.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A bounded MPSC queue: `push` blocks while full (counting the
-/// blocks), `pop` blocks while empty, `close` drains and wakes.
-struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                q: VecDeque::new(),
-                closed: false,
-                stats: QueueStats::default(),
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn push(&self, item: T) {
-        let mut state = lock(&self.state);
-        while state.q.len() >= self.capacity && !state.closed {
-            state.stats.backpressure_waits += 1;
-            state = self
-                .not_full
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        state.q.push_back(item);
-        state.stats.max_depth = state.stats.max_depth.max(state.q.len() as u64);
-        drop(state);
-        self.not_empty.notify_one();
-    }
-
-    fn pop(&self) -> Option<T> {
-        let mut state = lock(&self.state);
-        loop {
-            if let Some(item) = state.q.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn close(&self) {
-        lock(&self.state).closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    fn stats(&self) -> QueueStats {
-        lock(&self.state).stats
-    }
-}
-
-/// Closes a shard's queue however the shard exits, so a producer blocked
-/// on the full queue wakes instead of waiting forever.
-struct CloseOnDrop<'a, T>(&'a BoundedQueue<T>);
-
-impl<T> Drop for CloseOnDrop<'_, T> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
+#[derive(Default)]
 struct ShardOutcome {
     store: StoreStats,
     latencies: Vec<u64>,
     served: u64,
-    errors: u64,
     instantiations: u64,
     failures: Vec<FailureRecord>,
     checksum: u64,
 }
 
-/// The failure of serving `key` with the compiler error `e`.
-fn failure(key: ArtifactKey, e: &ScheduleError) -> FailureRecord {
-    FailureRecord {
-        key,
-        pass: e.pass_name().map(str::to_string),
-        error: e.to_string(),
-    }
-}
-
-/// Runs the compile step of serving `key`, turning an error or a panic
-/// into the key's [`FailureRecord`].
+/// Runs one compiler step of serving `key` (a compile or an
+/// instantiation), turning an error or a panic into the key's
+/// [`FailureRecord`]. This is the service's one panic boundary: a
+/// compiler panic fails its request only, and the shard's store stays
+/// usable because `serve` touches it only before and after a step.
 fn guarded<T>(
     key: ArtifactKey,
     compile: impl FnOnce() -> Result<T, ScheduleError>,
 ) -> Result<T, FailureRecord> {
-    match panic::catch_unwind(AssertUnwindSafe(compile)) {
-        Ok(compiled) => compiled.map_err(|e| failure(key, &e)),
-        Err(payload) => Err(panic_failure(key, payload.as_ref())),
-    }
+    let (pass, error) = match panic::catch_unwind(AssertUnwindSafe(compile)) {
+        Ok(Ok(compiled)) => return Ok(compiled),
+        Ok(Err(e)) => (e.pass_name().map(str::to_string), e.to_string()),
+        Err(payload) => {
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            (None, format!("compiler panicked: {message}"))
+        }
+    };
+    Err(FailureRecord { key, pass, error })
 }
 
 /// Serve one request against a shard's private store, counting
@@ -414,11 +323,11 @@ fn serve(
         }
         (KeyMode::Exact, _) => {
             let served = guarded(key, compile).map(|s| Served::new(s, config.checksum));
-            let (entry, bytes) = match &served {
-                Ok(s) => (CachedArtifact::Exact(s.clone()), json_bytes(&*s.schedule)),
-                Err(f) => (CachedArtifact::Failed(f.clone()), json_bytes(f)),
+            let entry = match &served {
+                Ok(s) => CachedArtifact::Exact(s.clone()),
+                Err(f) => CachedArtifact::Failed(f.clone()),
             };
-            store.insert(key, entry, bytes);
+            store.insert(key, entry);
             served
         }
         (KeyMode::Symbolic, _) => {
@@ -426,24 +335,17 @@ fn serve(
                 req.request.compile_symbolic(&req.loop_, &req.machine)
             })
             .inspect_err(|f| {
-                store.insert(key, CachedArtifact::Failed(f.clone()), json_bytes(f));
+                store.insert(key, CachedArtifact::Failed(f.clone()));
             })?;
-            let bytes = json_bytes(&artifact);
             let mut template = Box::new(Template {
                 artifact,
                 instances: HashMap::new(),
             });
             let served = template.instance(req, config, instantiations);
-            store.insert(key, CachedArtifact::Symbolic(template), bytes);
+            store.insert(key, CachedArtifact::Symbolic(template));
             served
         }
     }
-}
-
-fn json_bytes<T: Serialize>(value: &T) -> u64 {
-    serde_json::to_string(value)
-        .map(|s| s.len() as u64)
-        .unwrap_or(0)
 }
 
 /// Content digest of one served schedule, folded commutatively into the
@@ -452,53 +354,21 @@ fn schedule_digest(s: &Schedule) -> u64 {
     KeyBuilder::new().field("schedule", s).finish().hi
 }
 
-/// The failure of serving `key` when the compiler panicked with
-/// `payload`.
-fn panic_failure(key: ArtifactKey, payload: &(dyn Any + Send)) -> FailureRecord {
-    let message = payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string panic payload");
-    FailureRecord {
-        key,
-        pass: None,
-        error: format!("compiler panicked: {message}"),
-    }
-}
-
-fn run_shard(queue: &BoundedQueue<Job>, config: &ServiceConfig) -> ShardOutcome {
-    let _close = CloseOnDrop(queue);
+/// Drains one shard's queue until the producer hangs up, counting each
+/// job into `taken` as it leaves the queue.
+fn run_shard(jobs: Receiver<Job>, taken: &AtomicU64, config: &ServiceConfig) -> ShardOutcome {
     let mut store: ArtifactStore<CachedArtifact> = ArtifactStore::new(config.store_capacity);
-    let mut outcome = ShardOutcome {
-        store: StoreStats::default(),
-        latencies: Vec::new(),
-        served: 0,
-        errors: 0,
-        instantiations: 0,
-        failures: Vec::new(),
-        checksum: 0,
-    };
-    while let Some(job) = queue.pop() {
-        // A compiler panic fails this request only. `serve` catches it
-        // around each compile step, to store the failure; this catches
-        // one in `instantiate`. The store is safe to keep using: `serve`
-        // touches it only before and after a compile step.
-        let served = panic::catch_unwind(AssertUnwindSafe(|| {
-            serve(&mut store, config, &job.req, &mut outcome.instantiations)
-        }))
-        .unwrap_or_else(|payload| Err(panic_failure(job.req.key, payload.as_ref())));
-        match served {
+    let mut outcome = ShardOutcome::default();
+    for job in jobs {
+        taken.fetch_add(1, Ordering::Relaxed);
+        match serve(&mut store, config, &job.req, &mut outcome.instantiations) {
             Ok(s) => {
                 outcome.served += 1;
                 if let Some(digest) = s.digest {
                     outcome.checksum = outcome.checksum.wrapping_add(digest);
                 }
             }
-            Err(failure) => {
-                outcome.errors += 1;
-                outcome.failures.push(failure);
-            }
+            Err(failure) => outcome.failures.push(failure),
         }
         outcome
             .latencies
@@ -524,59 +394,72 @@ impl CompileService {
     /// Replays `requests` through the sharded worker pool and reports.
     ///
     /// The calling thread is the producer: it routes each request to
-    /// its key's shard, blocking when that shard's queue is full.
+    /// its key's shard, blocking when that shard's queue is full. A
+    /// panic outside the compiler (a service bug) is re-raised here.
     pub fn replay(&self, requests: Vec<ServiceRequest>) -> ServiceReport {
         let config = &self.config;
         let workers = config.workers.max(1);
         let total = requests.len() as u64;
-        let queues: Vec<BoundedQueue<Job>> = (0..workers)
-            .map(|_| BoundedQueue::new(config.queue_capacity))
-            .collect();
-        let outcomes: Vec<Mutex<Option<ShardOutcome>>> =
-            (0..workers).map(|_| Mutex::new(None)).collect();
+        let capacity = config.queue_capacity.max(1);
+        let taken: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+        let mut queue = QueueStats::default();
 
         let start = Instant::now();
-        rayon::scope(|s| {
-            for (queue, slot) in queues.iter().zip(&outcomes) {
-                s.spawn(move || {
-                    *lock(slot) = Some(run_shard(queue, config));
-                });
-            }
+        let outcomes: Vec<ShardOutcome> = thread::scope(|s| {
+            let (senders, shards): (Vec<_>, Vec<_>) = taken
+                .iter()
+                .map(|taken| {
+                    let (tx, rx) = mpsc::sync_channel(capacity);
+                    (tx, s.spawn(move || run_shard(rx, taken, config)))
+                })
+                .unzip();
+            let mut pushed = vec![0u64; workers];
             for req in requests {
                 let shard = req.key.shard(workers);
-                queues[shard].push(Job {
+                let job = Job {
                     req,
                     enqueued: Instant::now(),
-                });
+                };
+                let sent = match senders[shard].try_send(job) {
+                    Err(TrySendError::Full(job)) => {
+                        queue.backpressure_waits += 1;
+                        senders[shard].send(job).is_ok()
+                    }
+                    sent => sent.is_ok(),
+                };
+                // Only a panicked shard hangs up; its join re-raises it.
+                if !sent {
+                    break;
+                }
+                pushed[shard] += 1;
+                // Clamped: a job is counted taken just after it leaves.
+                let depth = pushed[shard] - taken[shard].load(Ordering::Relaxed);
+                queue.max_depth = queue.max_depth.max(depth.min(capacity as u64));
             }
-            for queue in &queues {
-                queue.close();
-            }
+            drop(senders);
+            shards
+                .into_iter()
+                .map(|shard| shard.join().unwrap_or_else(|p| panic::resume_unwind(p)))
+                .collect()
         });
         let wall_micros = (start.elapsed().as_micros() as u64).max(1);
 
-        let queue_stats = queues
-            .iter()
-            .map(|q| q.stats())
-            .fold(QueueStats::default(), |acc, s| acc.merged(&s));
         let mut store = StoreStats::default();
         let mut latencies = Vec::new();
         let mut served = 0;
-        let mut errors = 0;
         let mut instantiations = 0;
         let mut failures = Vec::new();
         let mut checksum = 0u64;
-        for slot in &outcomes {
-            let outcome = lock(slot).take().expect("every shard reports an outcome");
+        for outcome in outcomes {
             store = store.merged(&outcome.store);
             latencies.extend(outcome.latencies);
             served += outcome.served;
-            errors += outcome.errors;
             instantiations += outcome.instantiations;
             failures.extend(outcome.failures);
             checksum = checksum.wrapping_add(outcome.checksum);
         }
-        // Shard completion order is scheduling noise; key order is not.
+        // Which shard serves a key depends on the worker count; key
+        // order does not.
         failures.sort_by(|a, b| (a.key, &a.error).cmp(&(b.key, &b.error)));
         latencies.sort_unstable();
 
@@ -592,13 +475,13 @@ impl CompileService {
             workers: workers as u64,
             requests: total,
             served,
-            errors,
+            errors: failures.len() as u64,
             instantiations,
             wall_micros,
             compiles_per_sec: served as f64 / (wall_micros as f64 / 1_000_000.0),
             store,
             hit_rate: store.hit_rate(),
-            queue: queue_stats,
+            queue,
             latency_p50_micros: percentile(&latencies, 50),
             latency_p99_micros: percentile(&latencies, 99),
             checksum: config.checksum.then_some(checksum),
@@ -623,6 +506,7 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use vliw_ir::{DepEdge, DepKind, LoopBuilder, OpId};
     use vliw_sched::Arch;
 
@@ -787,7 +671,7 @@ mod tests {
             instances: HashMap::new(),
         };
         let mut store = ArtifactStore::new(None);
-        store.insert(req.key, CachedArtifact::Symbolic(Box::new(template)), 0);
+        store.insert(req.key, CachedArtifact::Symbolic(Box::new(template)));
         let (served, instantiations) = serve_in_order(&cfg, &reqs, &mut store);
         for r in served {
             let f = r.err().expect("instantiation fails");
@@ -838,7 +722,51 @@ mod tests {
         let report = CompileService::new(cfg).replay(requests(&trips, KeyMode::Symbolic));
         assert_eq!(report.served, 24);
         assert!(report.queue.max_depth >= 1);
+        assert!(report.queue.max_depth <= cfg.queue_capacity as u64);
         assert!(report.queue.backpressure_waits >= 1);
+    }
+
+    #[test]
+    fn reports_are_invariant_under_worker_count() {
+        // Several bodies spread the keys over the shards; every request
+        // against the machine without L0 buffers fails.
+        let machine = MachineConfig::micro2003();
+        let machines = [machine.without_l0(), machine].map(Arc::new);
+        let request = Arc::new(CompileRequest::new(Arch::L0));
+        let bodies = [
+            LoopBuilder::new("ew").elementwise(2).build(),
+            LoopBuilder::new("red").reduction(4).build(),
+            LoopBuilder::new("st").stencil3(2).build(),
+        ];
+        let mut reqs = Vec::new();
+        for trip in [16u64, 64, 256, 16, 1024] {
+            for body in &bodies {
+                for machine in &machines {
+                    let mut l = body.clone();
+                    l.trip_count = trip;
+                    let (m, r) = (Arc::clone(machine), Arc::clone(&request));
+                    reqs.push(ServiceRequest::new(Arc::new(l), m, r, KeyMode::Symbolic));
+                }
+            }
+        }
+        let shards: HashSet<usize> = reqs.iter().map(|r| r.key.shard(4)).collect();
+        assert!(shards.len() > 1, "the keys spread over the shards");
+        let outcome = |workers| {
+            let cfg = ServiceConfig {
+                workers,
+                queue_capacity: 1,
+                ..config(KeyMode::Symbolic, true)
+            };
+            let r = CompileService::new(cfg).replay(reqs.clone());
+            let counts = (r.served, r.errors, r.instantiations, r.checksum);
+            let store = (r.store.hits, r.store.misses, r.store.insertions);
+            (counts, store, r.failures)
+        };
+        let one = outcome(1);
+        let (served, errors, ..) = one.0;
+        assert!(served > 0 && errors > 0, "the mix serves and fails");
+        assert_eq!(outcome(2), one);
+        assert_eq!(outcome(4), one);
     }
 
     #[test]

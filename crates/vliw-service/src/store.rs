@@ -27,9 +27,6 @@ pub struct StoreStats {
     pub insertions: u64,
     /// Artifacts evicted to respect the capacity bound.
     pub evictions: u64,
-    /// Total serialized bytes of inserted artifacts (as reported by
-    /// callers at insert time).
-    pub insert_bytes: u64,
     /// Live entries at the time the stats were read.
     pub entries: u64,
 }
@@ -53,7 +50,6 @@ impl StoreStats {
             misses: self.misses + other.misses,
             insertions: self.insertions + other.insertions,
             evictions: self.evictions + other.evictions,
-            insert_bytes: self.insert_bytes + other.insert_bytes,
             entries: self.entries + other.entries,
         }
     }
@@ -131,9 +127,8 @@ impl<V> ArtifactStore<V> {
     }
 
     /// Inserts (or replaces) an artifact, evicting least-recently-used
-    /// entries while over capacity. `bytes` is the caller-measured
-    /// serialized size, accumulated into [`StoreStats::insert_bytes`].
-    pub fn insert(&mut self, key: ArtifactKey, value: V, bytes: u64) {
+    /// entries while over capacity.
+    pub fn insert(&mut self, key: ArtifactKey, value: V) {
         if let Some(old) = self.entries.remove(&key) {
             self.by_recency.remove(&old.tick);
         }
@@ -142,7 +137,6 @@ impl<V> ArtifactStore<V> {
         self.entries.insert(key, Entry { value, tick });
         self.by_recency.insert(tick, key);
         self.stats.insertions += 1;
-        self.stats.insert_bytes += bytes;
         if let Some(cap) = self.capacity {
             while self.entries.len() > cap.max(1) {
                 let (&oldest_tick, &oldest_key) = self
@@ -180,11 +174,10 @@ mod tests {
     fn hit_and_miss_counting() {
         let mut s: ArtifactStore<u32> = ArtifactStore::new(None);
         assert!(s.get(&key(1)).is_none());
-        s.insert(key(1), 10, 4);
+        s.insert(key(1), 10);
         assert_eq!(s.get(&key(1)), Some(&10));
         let stats = s.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
-        assert_eq!(stats.insert_bytes, 4);
         assert_eq!(stats.entries, 1);
     }
 
@@ -192,11 +185,11 @@ mod tests {
     fn get_mut_counts_and_refreshes_like_get() {
         let mut s: ArtifactStore<u32> = ArtifactStore::new(Some(2));
         assert!(s.get_mut(&key(1)).is_none());
-        s.insert(key(1), 1, 0);
-        s.insert(key(2), 2, 0);
+        s.insert(key(1), 1);
+        s.insert(key(2), 2);
         *s.get_mut(&key(1)).expect("live entry") += 10;
         // The write landed, and key(1) is now the most recently used.
-        s.insert(key(3), 3, 0);
+        s.insert(key(3), 3);
         assert_eq!(s.peek(&key(1)), Some(&11));
         assert!(s.peek(&key(2)).is_none(), "LRU entry evicted");
         let stats = s.stats();
@@ -206,11 +199,11 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_first() {
         let mut s: ArtifactStore<u32> = ArtifactStore::new(Some(2));
-        s.insert(key(1), 1, 0);
-        s.insert(key(2), 2, 0);
+        s.insert(key(1), 1);
+        s.insert(key(2), 2);
         // Touch 1 so 2 becomes the LRU victim.
         assert!(s.get(&key(1)).is_some());
-        s.insert(key(3), 3, 0);
+        s.insert(key(3), 3);
         assert_eq!(s.len(), 2);
         assert!(s.peek(&key(1)).is_some(), "recently used survives");
         assert!(s.peek(&key(2)).is_none(), "LRU entry evicted");
@@ -222,20 +215,19 @@ mod tests {
     fn capacity_is_respected_under_churn() {
         let mut s: ArtifactStore<u64> = ArtifactStore::new(Some(8));
         for i in 0..1000 {
-            s.insert(key(i), i, 1);
+            s.insert(key(i), i);
             assert!(s.len() <= 8);
         }
         let stats = s.stats();
         assert_eq!(stats.insertions, 1000);
         assert_eq!(stats.evictions, 1000 - 8);
-        assert_eq!(stats.insert_bytes, 1000);
     }
 
     #[test]
     fn reinsert_replaces_without_growing() {
         let mut s: ArtifactStore<u32> = ArtifactStore::new(Some(4));
-        s.insert(key(1), 1, 0);
-        s.insert(key(1), 2, 0);
+        s.insert(key(1), 1);
+        s.insert(key(1), 2);
         assert_eq!(s.len(), 1);
         assert_eq!(s.peek(&key(1)), Some(&2));
         assert_eq!(s.stats().evictions, 0);
@@ -244,11 +236,11 @@ mod tests {
     #[test]
     fn peek_leaves_stats_and_recency_alone() {
         let mut s: ArtifactStore<u32> = ArtifactStore::new(Some(2));
-        s.insert(key(1), 1, 0);
-        s.insert(key(2), 2, 0);
+        s.insert(key(1), 1);
+        s.insert(key(2), 2);
         assert!(s.peek(&key(1)).is_some());
         // peek did not refresh key(1): it is still the LRU victim.
-        s.insert(key(3), 3, 0);
+        s.insert(key(3), 3);
         assert!(s.peek(&key(1)).is_none());
         let stats = s.stats();
         assert_eq!(stats.hits + stats.misses, 0);
@@ -258,7 +250,7 @@ mod tests {
     fn unbounded_store_never_evicts() {
         let mut s: ArtifactStore<u64> = ArtifactStore::new(None);
         for i in 0..512 {
-            s.insert(key(i), i, 0);
+            s.insert(key(i), i);
         }
         assert_eq!(s.len(), 512);
         assert_eq!(s.stats().evictions, 0);
@@ -271,13 +263,11 @@ mod tests {
             misses: 2,
             insertions: 3,
             evictions: 4,
-            insert_bytes: 5,
             entries: 6,
         };
         let b = a;
         let m = a.merged(&b);
         assert_eq!(m.hits, 2);
-        assert_eq!(m.insert_bytes, 10);
         assert!((a.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 }
