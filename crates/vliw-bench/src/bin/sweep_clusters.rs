@@ -28,9 +28,11 @@
 //! `BENCH_*.json` artifact, which CI diffs against a checked-in golden
 //! grid with `bench-diff`.
 //!
-//! `--json <path>` emits the structured grid result.
+//! The table is followed by the grid's merged compile-pass ledger
+//! (calls and wall-clock per pass, as `verify` prints it). `--json
+//! <path>` emits the structured grid result.
 
-use vliw_bench::experiment::{write_json, BinArgs, SweepGrid, Variant};
+use vliw_bench::experiment::{print_pass_ledger, write_json, BinArgs, SweepGrid, Variant};
 use vliw_bench::Arch;
 use vliw_machine::{InterconnectConfig, L0Capacity, MachineConfig};
 use vliw_sched::AssignmentPolicy;
@@ -151,6 +153,9 @@ fn main() {
             cell.mem.merges(),
         );
     }
+
+    println!("Compile passes (merged over the grid; wall-clock, not gated):");
+    print_pass_ledger(&result.pass_stats);
 
     if let Some(path) = args.json_path() {
         write_json(&path, &result);

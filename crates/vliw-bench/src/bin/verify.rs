@@ -16,7 +16,7 @@
 
 use serde::Serialize;
 use std::path::PathBuf;
-use vliw_bench::experiment::{write_json, BinArgs};
+use vliw_bench::experiment::{print_pass_ledger, write_json, BinArgs};
 use vliw_bench::Arch;
 use vliw_machine::MachineConfig;
 use vliw_sched::{merge_pass_stats, BackendKind, CompileRequest, PassStat, VerifyLevel};
@@ -117,12 +117,7 @@ fn main() {
         backends.len(),
         report.surfaces
     );
-    for s in &report.pass_stats {
-        println!(
-            "  pass {:>18}: {:>5} calls, {:>8} µs",
-            s.name, s.calls, s.micros
-        );
-    }
+    print_pass_ledger(&report.pass_stats);
     if report.violations.is_empty() {
         println!("verify: OK — no invariant violations");
     } else {

@@ -46,6 +46,6 @@ pub use cell::{Cell, ProofCounts};
 pub use cli::{write_json, BinArgs};
 pub use diff::{sparkline, CellDelta, CellTrend, GridDiff, GridTrend};
 pub use grid::{SweepGrid, Variant};
-pub use render::render_matrix;
+pub use render::{print_pass_ledger, render_matrix};
 pub use run::{harvest_profile, ExecMode, GridResult};
 pub use service::{materialize_mix, zipf_mix, MixDraw, TRIP_MENU};

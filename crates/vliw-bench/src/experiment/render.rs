@@ -1,6 +1,19 @@
-//! The shared benchmark × variant table renderer.
+//! The shared benchmark × variant table renderer and pass-ledger
+//! printer.
 
 use crate::experiment::{Cell, GridResult};
+use vliw_sched::PassStat;
+
+/// Prints a merged compile-pass ledger, one line per pass: calls and
+/// wall-clock microseconds (telemetry, not gated).
+pub fn print_pass_ledger(stats: &[PassStat]) {
+    for s in stats {
+        println!(
+            "  pass {:>18}: {:>5} calls, {:>8} µs",
+            s.name, s.calls, s.micros
+        );
+    }
+}
 
 /// Prints `result` as the paper-style matrix: one row per benchmark, one
 /// column per variant, and a final AMEAN row over the normalized

@@ -47,7 +47,9 @@ impl UnionFind {
 #[derive(Debug, Clone)]
 pub struct MemDepSets {
     sets: Vec<Vec<OpId>>,
-    set_of: HashMap<OpId, usize>,
+    /// Set index per op (indexed by [`OpId::index`]; `None` for
+    /// non-memory ops).
+    set_of: Vec<Option<usize>>,
 }
 
 impl MemDepSets {
@@ -85,10 +87,10 @@ impl MemDepSets {
             s.sort();
         }
         sets.sort_by_key(|s| s[0]);
-        let mut set_of = HashMap::new();
+        let mut set_of = vec![None; n];
         for (i, s) in sets.iter().enumerate() {
             for &op in s {
-                set_of.insert(op, i);
+                set_of[op.index()] = Some(i);
             }
         }
         MemDepSets { sets, set_of }
@@ -101,7 +103,7 @@ impl MemDepSets {
 
     /// Index of the set `op` belongs to (`None` for non-memory ops).
     pub fn set_of(&self, op: OpId) -> Option<usize> {
-        self.set_of.get(&op).copied()
+        self.set_of.get(op.index()).copied().flatten()
     }
 
     /// The ops in the same set as `op`, including `op` itself.

@@ -88,10 +88,14 @@ impl BackendKind {
     /// profile closes the profile-guided loop through the
     /// [`cost`](crate::cost) functions).
     ///
+    /// The schedule returned has an II of at most `max_ii` (at most
+    /// `engine::MAX_II`; the compile driver lowers it to bound the
+    /// unrolled search).
+    ///
     /// # Errors
     ///
-    /// Returns [`ScheduleError`] when no feasible II exists up to the
-    /// search cap or the machine configuration is invalid.
+    /// Returns [`ScheduleError`] when no feasible II exists up to
+    /// `max_ii` or the machine configuration is invalid.
     pub(crate) fn schedule(
         self,
         loop_: &LoopNest,
@@ -99,12 +103,19 @@ impl BackendKind {
         mode: Mode,
         assignment: AssignmentPolicy,
         profile: Option<&Profile>,
+        max_ii: u32,
     ) -> Result<Schedule, ScheduleError> {
         match self {
-            BackendKind::Sms => engine::run_with(loop_, cfg, mode, assignment, profile),
-            BackendKind::Exact => {
-                exact_schedule(loop_, cfg, mode, assignment, profile, DEFAULT_NODE_BUDGET)
-            }
+            BackendKind::Sms => engine::run_with(loop_, cfg, mode, assignment, profile, max_ii),
+            BackendKind::Exact => exact_schedule(
+                loop_,
+                cfg,
+                mode,
+                assignment,
+                profile,
+                DEFAULT_NODE_BUDGET,
+                max_ii,
+            ),
         }
     }
 }
@@ -120,6 +131,11 @@ impl fmt::Display for BackendKind {
 /// the module docs for the model's scope). `node_budget` caps the
 /// placement attempts per candidate II; an II whose proof exceeds it is
 /// skipped unproven and the result is marked [`IiProof::Truncated`].
+///
+/// `max_ii` bounds the DFS, not the SMS incumbent: a capped incumbent
+/// could fail where the DFS finds an II within the cap. When the
+/// incumbent lies above `max_ii` and no II up to it is feasible, the
+/// search fails with [`ScheduleError::NoFeasibleIi`] at `max_ii`.
 pub(crate) fn exact_schedule(
     loop_: &LoopNest,
     cfg: &MachineConfig,
@@ -127,6 +143,7 @@ pub(crate) fn exact_schedule(
     assignment: AssignmentPolicy,
     profile: Option<&Profile>,
     node_budget: u64,
+    max_ii: u32,
 ) -> Result<Schedule, ScheduleError> {
     // SMS provides the incumbent: an upper bound and a fallback, so
     // the exact backend can only improve on the heuristic. The
@@ -134,9 +151,9 @@ pub(crate) fn exact_schedule(
     // static L0 marking below); the DFS itself already enumerates
     // every (cluster, cycle) placement, so its verdicts are
     // policy-independent.
-    let sms = engine::run_with(loop_, cfg, mode, assignment, profile)
+    let sms = engine::run_with(loop_, cfg, mode, assignment, profile, engine::MAX_II)
         .map_err(|e| e.with_backend(BackendKind::Exact.label()))?;
-    if sms.ii() <= sms.mii {
+    if sms.ii() <= sms.mii && sms.ii() <= max_ii {
         return Ok(sms); // already proved optimal by hitting the MII
     }
 
@@ -145,7 +162,7 @@ pub(crate) fn exact_schedule(
     // so computed once for the whole II sweep).
     let banned = mixed_set_members(loop_);
     let mut proved_all_below = true;
-    for ii in sms.mii..sms.ii() {
+    for ii in sms.mii..sms.ii().min(max_ii.saturating_add(1)) {
         match Search::run(loop_, cfg, &ddg, &banned, mode, profile, ii, node_budget) {
             Outcome::Found(schedule) => {
                 let mut schedule = *schedule;
@@ -168,6 +185,13 @@ pub(crate) fn exact_schedule(
         }
     }
 
+    if sms.ii() > max_ii {
+        return Err(ScheduleError::NoFeasibleIi {
+            loop_name: loop_.name.clone(),
+            backend: BackendKind::Exact.label().to_string(),
+            max_ii_tried: max_ii,
+        });
+    }
     // No II below the heuristic's is feasible (or provable): the SMS
     // schedule stands, now with a settled proof status.
     let mut sms = sms;
@@ -239,6 +263,7 @@ fn lat_model(
     let n = loop_.ops.len();
     let mut lats = Vec::with_capacity(n);
     let mut l0_assigned = vec![false; n];
+    let entry_costs = engine::entry_costs(loop_, cfg, ii);
     if let Mode::L0 { mark, .. } = mode {
         // Step ➋ applied once, with SMS's optimistic latencies and the
         // full entry budget; mixed-set members are NL0.
@@ -249,7 +274,7 @@ fn lat_model(
         };
         let budget = FreeEntries::new(cfg).total();
         let eligible = |op: OpId| !banned[op.index()];
-        let marks = engine::mark_l0(loop_, cfg, ii, mark, profile, &slack, budget, eligible);
+        let marks = engine::mark_l0(loop_, mark, profile, &slack, &entry_costs, budget, eligible);
         for (op, marked) in marks {
             l0_assigned[op.index()] = marked;
         }
@@ -289,13 +314,7 @@ fn lat_model(
         lats.push(spec);
     }
     let costs: Vec<i64> = (0..n)
-        .map(|i| {
-            if l0_assigned[i] {
-                engine::entry_cost(loop_, cfg, ii, OpId(i as u32))
-            } else {
-                0
-            }
-        })
+        .map(|i| if l0_assigned[i] { entry_costs[i] } else { 0 })
         .collect();
     (lats, costs)
 }
@@ -698,8 +717,15 @@ mod tests {
     }
 
     fn schedule(kind: BackendKind, l: &LoopNest, c: &MachineConfig, mode: Mode) -> Schedule {
-        kind.schedule(l, c, mode, AssignmentPolicy::default(), None)
-            .unwrap()
+        kind.schedule(
+            l,
+            c,
+            mode,
+            AssignmentPolicy::default(),
+            None,
+            engine::MAX_II,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -789,11 +815,51 @@ mod tests {
             .build();
         let c = cfg();
         let sms = schedule(BackendKind::Sms, &l, &c, l0_mode());
-        let s = exact_schedule(&l, &c, l0_mode(), AssignmentPolicy::default(), None, 1).unwrap();
+        let s = exact_schedule(
+            &l,
+            &c,
+            l0_mode(),
+            AssignmentPolicy::default(),
+            None,
+            1,
+            engine::MAX_II,
+        )
+        .unwrap();
         assert!(s.ii() <= sms.ii(), "fallback never regresses SMS");
         if s.ii() > s.mii {
             assert_eq!(s.ii_proof, IiProof::Truncated);
         }
+    }
+
+    #[test]
+    fn a_capped_exact_search_reports_its_cap() {
+        // SMS lands above the MII here, so the DFS has IIs to refute;
+        // capped below the MII, nothing is searched and the error names
+        // the cap.
+        let l = LoopBuilder::new("fir8")
+            .trip_count(64)
+            .fir(8, 2)
+            .int_overhead(3)
+            .build();
+        let c = cfg().without_l0();
+        let mode = Mode::Base { load_latency: 6 };
+        let full = schedule(BackendKind::Exact, &l, &c, mode);
+        let capped = |max_ii| {
+            BackendKind::Exact.schedule(&l, &c, mode, AssignmentPolicy::default(), None, max_ii)
+        };
+        assert_eq!(
+            capped(full.mii - 1).unwrap_err(),
+            ScheduleError::NoFeasibleIi {
+                loop_name: "fir8".into(),
+                backend: "exact".into(),
+                max_ii_tried: full.mii - 1,
+            }
+        );
+        let same = capped(full.ii()).unwrap();
+        assert_eq!(
+            serde_json::to_string(&same).unwrap(),
+            serde_json::to_string(&full).unwrap()
+        );
     }
 
     #[test]

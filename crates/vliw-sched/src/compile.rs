@@ -21,11 +21,11 @@
 
 use crate::backend::BackendKind;
 use crate::coherence::CoherencePolicy;
-use crate::engine::{AssignmentPolicy, Mode, ScheduleError};
+use crate::engine::{AssignmentPolicy, Mode, ScheduleError, MAX_II};
 use crate::hints::assign_hints;
 use crate::mrt::ModuloReservationTable;
 use crate::passes::VerifyLevel;
-use crate::schedule::{PrefetchSlot, Schedule};
+use crate::schedule::{compute_cycles, PrefetchSlot, Schedule};
 use serde::{Deserialize, Serialize};
 use vliw_ir::{specialize, stride, LoopNest, StrideClass};
 use vliw_machine::{FuKind, MachineConfig, Profile, WordInterleavedConfig};
@@ -339,11 +339,23 @@ pub(crate) struct Lowered {
 }
 
 /// Statically-estimated compute cost per *original* iteration — the
-/// quantity step 1 minimizes when choosing the unroll factor — at
-/// `trip_count` iterations per visit of `schedule`'s own loop.
-fn cost_per_iteration(schedule: &Schedule, trip_count: u64, unroll_factor: u64) -> f64 {
+/// quantity step 1 minimizes when choosing the unroll factor — of a
+/// schedule with `ii` and `stages`, at `trip_count` iterations per visit
+/// of a loop unrolled by `unroll_factor`. The one formula both
+/// [`unrolled_wins`] and [`unrolled_ii_cap`] evaluate.
+fn cost_per_iteration_at(ii: u32, stages: u32, trip_count: u64, unroll_factor: u64) -> f64 {
     let orig_iters = (trip_count * unroll_factor).max(1);
-    schedule.compute_cycles_at(trip_count) as f64 / orig_iters as f64
+    compute_cycles(ii, stages, trip_count) as f64 / orig_iters as f64
+}
+
+/// [`cost_per_iteration_at`] for one compiled schedule.
+fn cost_per_iteration(schedule: &Schedule, trip_count: u64, unroll_factor: u64) -> f64 {
+    cost_per_iteration_at(
+        schedule.ii(),
+        schedule.stage_count(),
+        trip_count,
+        unroll_factor,
+    )
 }
 
 /// Step 1's eligibility gate: unrolling is considered at all only under
@@ -368,6 +380,32 @@ pub(crate) fn unrolled_wins(
     n: usize,
 ) -> bool {
     cost_per_iteration(unrolled, unrolled_trip, n as u64) < cost_per_iteration(flat, flat_trip, 1)
+}
+
+/// Step 1's cost bound on the unrolled search of a direct compile: the
+/// largest II (at most [`MAX_II`]) at which an unrolled-by-`n` candidate
+/// with `unrolled_trip` iterations could still beat `flat`.
+///
+/// Every schedule has at least one stage, so an unrolled candidate at
+/// II costs at least [`cost_per_iteration_at`]`(II, 1, ..)`, which never
+/// falls as II grows; [`unrolled_wins`] needs a strictly lower cost than
+/// the flat schedule's. No candidate above the cap can win, so searching
+/// only up to it never changes the winner. 0 when no II can win.
+pub(crate) fn unrolled_ii_cap(flat: &Schedule, unrolled_trip: u64, n: usize) -> u32 {
+    let flat_cost = cost_per_iteration(flat, flat.loop_.trip_count, 1);
+    let may_win = |ii: u32| cost_per_iteration_at(ii, 1, unrolled_trip, n as u64) < flat_cost;
+    // Binary search for the last II in [0, MAX_II] that may win
+    // (`may_win` is monotone; II 0 stands for "none").
+    let (mut lo, mut hi) = (0, MAX_II);
+    while lo < hi {
+        let mid = lo + (hi - lo).div_ceil(2);
+        if may_win(mid) {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    lo
 }
 
 /// Steps 4–5 of §4.3 (L0 target only): hint assignment, explicit

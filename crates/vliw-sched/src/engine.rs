@@ -215,10 +215,18 @@ struct Attempt<'a> {
     free_l0: FreeEntries,
     l0_assigned: Vec<bool>,
     recommended: Vec<Option<ClusterId>>,
-    set_solutions: HashMap<usize, CoherenceSolution>,
-    static_slack: Vec<i64>,
+    /// Coherence solution per memory-dependent set (indexed by set),
+    /// decided at step ➍ when the set's first member is placed.
+    set_solutions: Vec<Option<CoherenceSolution>>,
+    /// [`entry_cost`] per op at this II.
+    entry_costs: Vec<i64>,
+    /// Steps ➋/➓'s candidate order at this II.
+    marking: L0Marking,
 }
 
+/// The largest II either backend searches. The compile driver passes a
+/// lower `max_ii` for an unrolled candidate that cannot beat the flat
+/// schedule above some II.
 pub(crate) const MAX_II: u32 = 512;
 
 impl<'a> Attempt<'a> {
@@ -230,15 +238,15 @@ impl<'a> Attempt<'a> {
         self.cfg.l0.map(|l| l.latency).unwrap_or(1)
     }
 
-    /// Optimistic latency function for ordering/slack (step ➋ assumption:
-    /// all candidates at the L0 latency).
-    fn optimistic_latency(&self, op: OpId) -> u32 {
-        optimistic_latency(self.loop_, self.cfg, self.mode, op)
-    }
-
     /// See [`entry_cost`].
     fn entry_cost(&self, op: OpId) -> i64 {
-        entry_cost(self.loop_, self.cfg, self.ii, op)
+        self.entry_costs[op.index()]
+    }
+
+    /// The coherence solution of `op`'s memory-dependent set, once
+    /// step ➍ has decided one.
+    fn solution(&self, op: OpId) -> Option<&CoherenceSolution> {
+        self.set_solutions[self.sets.set_of(op)?].as_ref()
     }
 
     /// The latency `op` would be scheduled with in `cluster` right now
@@ -253,11 +261,9 @@ impl<'a> Attempt<'a> {
                         return self.l1_lat();
                     }
                     // coherence constraint for mixed sets
-                    if let Some(si) = self.sets.set_of(op) {
-                        if let Some(sol) = self.set_solutions.get(&si) {
-                            if !sol.allows_l0(cluster) {
-                                return self.l1_lat();
-                            }
+                    if let Some(sol) = self.solution(op) {
+                        if !sol.allows_l0(cluster) {
+                            return self.l1_lat();
                         }
                     }
                     let capacity_ok = match mark {
@@ -451,29 +457,25 @@ impl<'a> Attempt<'a> {
         }
         // PSR replica stores: one instance per other cluster.
         let mut replica_drafts: Vec<ReplicaSlot> = Vec::new();
-        if ok && o.is_store() {
-            if let Some(si) = self.sets.set_of(op) {
-                if matches!(self.set_solutions.get(&si), Some(CoherenceSolution::Psr)) {
-                    'clusters: for c in ClusterId::all(self.cfg.clusters) {
-                        if c == cluster {
-                            continue;
-                        }
-                        for dt in 0..ii {
-                            let rt = t + dt;
-                            if self.mrt.fu_free(c, vliw_machine::FuKind::Mem, rt) {
-                                self.mrt.reserve_fu(c, vliw_machine::FuKind::Mem, rt);
-                                replica_drafts.push(ReplicaSlot {
-                                    for_op: op,
-                                    cluster: c,
-                                    t: rt,
-                                });
-                                continue 'clusters;
-                            }
-                        }
-                        ok = false;
-                        break;
+        if ok && o.is_store() && matches!(self.solution(op), Some(CoherenceSolution::Psr)) {
+            'clusters: for c in ClusterId::all(self.cfg.clusters) {
+                if c == cluster {
+                    continue;
+                }
+                for dt in 0..ii {
+                    let rt = t + dt;
+                    if self.mrt.fu_free(c, vliw_machine::FuKind::Mem, rt) {
+                        self.mrt.reserve_fu(c, vliw_machine::FuKind::Mem, rt);
+                        replica_drafts.push(ReplicaSlot {
+                            for_op: op,
+                            cluster: c,
+                            t: rt,
+                        });
+                        continue 'clusters;
                     }
                 }
+                ok = false;
+                break;
             }
         }
 
@@ -513,22 +515,18 @@ impl<'a> Attempt<'a> {
         let n = self.cfg.clusters;
         // 1C pinning: L0-latency loads and stores of a pinned set must go
         // to the pinned cluster.
-        if o.kind.is_mem() {
-            if let Some(si) = self.sets.set_of(op) {
-                if let Some(sol) = self.set_solutions.get(&si) {
-                    if let Some(pinned) = sol.pinned() {
-                        let pin_applies = o.is_store()
-                            || (self.l0_assigned.get(op.index()).copied().unwrap_or(false));
-                        if pin_applies && !matches!(sol, CoherenceSolution::Psr) {
-                            // loads may still fall back to other clusters
-                            // with the L1 latency
-                            let mut order = vec![pinned];
-                            if o.is_load() {
-                                order.extend(ClusterId::all(n).filter(|&c| c != pinned));
-                            }
-                            return order;
-                        }
+        if let Some(sol) = self.solution(op) {
+            if let Some(pinned) = sol.pinned() {
+                let pin_applies =
+                    o.is_store() || (self.l0_assigned.get(op.index()).copied().unwrap_or(false));
+                if pin_applies && !matches!(sol, CoherenceSolution::Psr) {
+                    // loads may still fall back to other clusters
+                    // with the L1 latency
+                    let mut order = vec![pinned];
+                    if o.is_load() {
+                        order.extend(ClusterId::all(n).filter(|&c| c != pinned));
                     }
+                    return order;
                 }
             }
         }
@@ -672,18 +670,11 @@ impl<'a> Attempt<'a> {
                 }
             }
         }
-        // pin the set's cluster when an L0-latency load lands (1C)
-        if o.is_load() && draft.lat == self.l0_lat() {
+        // pin the set's cluster when an L0-latency load lands (1C); a
+        // store placed first also pins 1C
+        if (o.is_load() && draft.lat == self.l0_lat()) || o.is_store() {
             if let Some(si) = self.sets.set_of(op) {
-                if let Some(sol) = self.set_solutions.get_mut(&si) {
-                    sol.pin(draft.cluster);
-                }
-            }
-        }
-        // a store placed first also pins 1C
-        if o.is_store() {
-            if let Some(si) = self.sets.set_of(op) {
-                if let Some(sol) = self.set_solutions.get_mut(&si) {
+                if let Some(sol) = &mut self.set_solutions[si] {
                     sol.pin(draft.cluster);
                 }
             }
@@ -691,19 +682,13 @@ impl<'a> Attempt<'a> {
     }
 
     /// Steps ➋/➓: (re)assign the L0 latency to the unscheduled
-    /// candidates by the shared marking rule ([`mark_l0`]), spending
-    /// the entries still free.
-    fn reassign_latencies(&mut self, mark: MarkPolicy) {
-        let marks = mark_l0(
-            self.loop_,
-            self.cfg,
-            self.ii,
-            mark,
-            self.profile,
-            &self.static_slack,
-            self.free_l0.total(),
-            |op| self.placed[op.index()].is_none(),
-        );
+    /// candidates by the shared marking rule (this attempt's
+    /// [`L0Marking`]), spending the entries still free.
+    fn reassign_latencies(&mut self) {
+        let placed = &self.placed;
+        let marks = self
+            .marking
+            .admit(self.free_l0.total(), |op| placed[op.index()].is_none());
         for (op, marked) in marks {
             self.l0_assigned[op.index()] = marked;
         }
@@ -734,6 +719,12 @@ pub(crate) fn max_live(
 ) -> Vec<u32> {
     let ii_u = ii;
     let ii = ii as i64;
+    // Latest copy of each producer's value, in one pass over the index.
+    let mut last_copy: Vec<Option<i64>> = vec![None; placed.len()];
+    for (&(src, _), &t) in copy_index {
+        let slot = &mut last_copy[src.index()];
+        *slot = Some(slot.map_or(t, |s| s.max(t)));
+    }
     let mut live = vec![vec![0u32; ii_u as usize]; cfg.clusters];
     let mut bump = |cluster: ClusterId, from: i64, to: i64| {
         if to <= from {
@@ -769,12 +760,7 @@ pub(crate) fn max_live(
                 last_use = last_use.max(use_t);
             }
         }
-        if let Some(&copy_t) = copy_index
-            .iter()
-            .filter(|((src, _), _)| *src == op.id)
-            .map(|(_, t)| t)
-            .max()
-        {
+        if let Some(copy_t) = last_copy[i] {
             last_use = last_use.max(copy_t);
         }
         bump(d.cluster, d.t, last_use);
@@ -880,6 +866,15 @@ impl FreeEntries {
     }
 }
 
+/// [`entry_cost`] of every op of `loop_` at `ii`, indexed by op.
+pub(crate) fn entry_costs(loop_: &LoopNest, cfg: &MachineConfig, ii: u32) -> Vec<i64> {
+    loop_
+        .ops
+        .iter()
+        .map(|o| entry_cost(loop_, cfg, ii, o.id))
+        .collect()
+}
+
 /// Steps ➋/➓ of §4.3, the one L0-marking rule of both schedulers: the
 /// L0 latency goes to the most critical candidates, up to the free
 /// entries.
@@ -888,50 +883,95 @@ impl FreeEntries {
 /// that are `eligible`. They are ordered by profile heat, hottest first
 /// ([`cost::stall_weight`], read only under [`MarkPolicy::ProfileGuided`]),
 /// then by static `slack` (indexed by op), then by op id, and each is
-/// admitted while its [`entry_cost`] fits in what is left of `budget`
-/// (`None`: every candidate fits). [`MarkPolicy::AllCandidates`] admits
-/// every candidate. Returns each candidate with its verdict.
-#[allow(clippy::too_many_arguments)]
+/// admitted while its entry cost (`costs`, indexed by op) fits in what
+/// is left of `budget` (`None`: every candidate fits).
+/// [`MarkPolicy::AllCandidates`] admits every candidate. Returns each
+/// candidate with its verdict.
+///
+/// This is [`L0Marking::new`] followed by one [`L0Marking::admit`]; SMS
+/// keeps the order for a whole II attempt and admits after every
+/// placement.
 pub(crate) fn mark_l0(
     loop_: &LoopNest,
-    cfg: &MachineConfig,
-    ii: u32,
     mark: MarkPolicy,
     profile: Option<&Profile>,
     slack: &[i64],
+    costs: &[i64],
     budget: Option<i64>,
     eligible: impl Fn(OpId) -> bool,
 ) -> Vec<(OpId, bool)> {
-    let mut candidates: Vec<OpId> = loop_
-        .ops
-        .iter()
-        .filter(|o| {
-            o.is_load() && eligible(o.id) && o.kind.mem_access().is_some_and(stride::is_candidate)
-        })
-        .map(|o| o.id)
-        .collect();
-    let heat = |op: OpId| match mark {
-        MarkPolicy::ProfileGuided => {
-            cost::stall_weight(profile, &loop_.name, loop_.op(op).provenance().0 .0)
-        }
-        MarkPolicy::Selective | MarkPolicy::AllCandidates => 0,
-    };
-    candidates.sort_by_key(|&op| (Reverse(heat(op)), slack[op.index()], op.0));
-    let mut remaining = match mark {
-        MarkPolicy::AllCandidates => None,
-        MarkPolicy::Selective | MarkPolicy::ProfileGuided => budget,
-    };
-    candidates
-        .into_iter()
-        .map(|op| {
-            let cost = entry_cost(loop_, cfg, ii, op);
-            let fits = remaining.is_none_or(|r| r >= cost);
-            if let (true, Some(r)) = (fits, remaining.as_mut()) {
-                *r -= cost;
-            }
-            (op, fits)
-        })
+    L0Marking::new(loop_, mark, profile, slack, costs, &eligible)
+        .admit(budget, eligible)
         .collect()
+}
+
+/// The marking rule's candidate order, fixed for one II attempt: heat,
+/// static slack and entry cost do not change while ops are placed, so
+/// only the eligible set and the budget vary between admissions.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct L0Marking {
+    /// Candidates in admission order, each with its entry cost.
+    order: Vec<(OpId, i64)>,
+    /// `false` under [`MarkPolicy::AllCandidates`]: the budget is ignored.
+    bounded: bool,
+}
+
+impl L0Marking {
+    /// Sorts the `eligible` candidates once (see [`mark_l0`]).
+    pub(crate) fn new(
+        loop_: &LoopNest,
+        mark: MarkPolicy,
+        profile: Option<&Profile>,
+        slack: &[i64],
+        costs: &[i64],
+        eligible: impl Fn(OpId) -> bool,
+    ) -> Self {
+        let mut candidates: Vec<OpId> = loop_
+            .ops
+            .iter()
+            .filter(|o| {
+                o.is_load()
+                    && eligible(o.id)
+                    && o.kind.mem_access().is_some_and(stride::is_candidate)
+            })
+            .map(|o| o.id)
+            .collect();
+        let heat = |op: OpId| match mark {
+            MarkPolicy::ProfileGuided => {
+                cost::stall_weight(profile, &loop_.name, loop_.op(op).provenance().0 .0)
+            }
+            MarkPolicy::Selective | MarkPolicy::AllCandidates => 0,
+        };
+        candidates.sort_by_cached_key(|&op| (Reverse(heat(op)), slack[op.index()], op.0));
+        L0Marking {
+            order: candidates
+                .into_iter()
+                .map(|op| (op, costs[op.index()]))
+                .collect(),
+            bounded: mark != MarkPolicy::AllCandidates,
+        }
+    }
+
+    /// Admits the `eligible` candidates in order while their entry cost
+    /// fits in what is left of `budget`. Yields each eligible candidate
+    /// with its verdict.
+    pub(crate) fn admit<'a>(
+        &'a self,
+        budget: Option<i64>,
+        eligible: impl Fn(OpId) -> bool + 'a,
+    ) -> impl Iterator<Item = (OpId, bool)> + 'a {
+        let mut remaining = budget.filter(|_| self.bounded);
+        self.order
+            .iter()
+            .filter(move |&&(op, _)| eligible(op))
+            .map(move |&(op, cost)| {
+                let fits = remaining.is_none_or(|r| r >= cost);
+                if let (true, Some(r)) = (fits, remaining.as_mut()) {
+                    *r -= cost;
+                }
+                (op, fits)
+            })
+    }
 }
 
 /// The statically-preferred home cluster of a word-interleaved access:
@@ -965,27 +1005,40 @@ pub(crate) fn preferred_owner(
 /// under a cluster-assignment policy and an optional profile
 /// ([`AssignmentPolicy::ContentionBlind`] without a profile is the
 /// paper's scheduler bit-exactly; a profile closes the profile-guided
-/// loop through the [`cost`] functions).
+/// loop through the [`cost`] functions). The search climbs from the MII
+/// to `max_ii` (at most [`MAX_II`]); a `max_ii` below the MII makes no
+/// attempt.
+///
+/// # Errors
+///
+/// [`ScheduleError::NoFeasibleIi`] naming `max_ii` when no II up to it
+/// schedules; [`ScheduleError::BadConfig`] for an invalid `cfg`.
 pub(crate) fn run_with(
     loop_: &LoopNest,
     cfg: &MachineConfig,
     mode: Mode,
     assignment: AssignmentPolicy,
     profile: Option<&Profile>,
+    max_ii: u32,
 ) -> Result<Schedule, ScheduleError> {
+    debug_assert!(max_ii <= MAX_II, "II cap {max_ii} above MAX_II");
     cfg.validate().map_err(ScheduleError::BadConfig)?;
     let ddg = DataDepGraph::build(loop_);
     let sets = MemDepSets::build(loop_);
 
     // optimistic latency for MII / ordering
-    let opt_lat = |op: OpId| optimistic_latency(loop_, cfg, mode, op);
-    let mii0 = mii::mii(loop_, &ddg, cfg, opt_lat);
+    let opt_lats: Vec<u32> = loop_
+        .ops
+        .iter()
+        .map(|o| optimistic_latency(loop_, cfg, mode, o.id))
+        .collect();
+    let mii0 = mii::mii(loop_, &ddg, cfg, |op| opt_lats[op.index()]);
 
     let mut ii = mii0;
-    while ii <= MAX_II {
-        if let Some(mut schedule) =
-            try_schedule(loop_, cfg, &ddg, &sets, mode, assignment, profile, ii)
-        {
+    while ii <= max_ii {
+        if let Some(mut schedule) = try_schedule(
+            loop_, cfg, &ddg, &sets, &opt_lats, mode, assignment, profile, ii,
+        ) {
             schedule.mii = mii0;
             // Hitting the MII is the one II a heuristic *can* prove
             // minimal: nothing legal is below it.
@@ -1001,22 +1054,39 @@ pub(crate) fn run_with(
     Err(ScheduleError::NoFeasibleIi {
         loop_name: loop_.name.clone(),
         backend: "sms".to_string(),
-        max_ii_tried: MAX_II,
+        max_ii_tried: max_ii,
     })
 }
 
 /// One II attempt (the `try_schedule` function of Figure 4).
+/// `opt_lats` holds each op's [`optimistic_latency`].
 #[allow(clippy::too_many_arguments)]
 fn try_schedule(
     loop_: &LoopNest,
     cfg: &MachineConfig,
     ddg: &DataDepGraph,
     sets: &MemDepSets,
+    opt_lats: &[u32],
     mode: Mode,
     assignment: AssignmentPolicy,
     profile: Option<&Profile>,
     ii: u32,
 ) -> Option<Schedule> {
+    let n = loop_.ops.len();
+    // slack under this II with optimistic latencies
+    let timing = ddg.asap_alap(ii, |op| opt_lats[op.index()])?;
+    let slack: Vec<i64> = (0..n).map(|i| timing.slack(OpId(i as u32))).collect();
+    // ➋'s candidate order and entry costs hold for the whole attempt;
+    // only the free entries and the unplaced set change.
+    let (entry_costs, marking) = match mode {
+        Mode::L0 { mark, .. } => {
+            let costs = entry_costs(loop_, cfg, ii);
+            let marking = L0Marking::new(loop_, mark, profile, &slack, &costs, |_| true);
+            (costs, marking)
+        }
+        Mode::Base { .. } | Mode::WordInterleaved { .. } => (Vec::new(), L0Marking::default()),
+    };
+
     let mut a = Attempt {
         loop_,
         cfg,
@@ -1033,30 +1103,20 @@ fn try_schedule(
         replicas: Vec::new(),
         // ➊ num_free_L0_entries
         free_l0: FreeEntries::new(cfg),
-        l0_assigned: vec![false; loop_.ops.len()],
-        recommended: vec![None; loop_.ops.len()], // ➌
-        set_solutions: HashMap::new(),
-        static_slack: vec![0; loop_.ops.len()],
+        l0_assigned: vec![false; n],
+        recommended: vec![None; n], // ➌
+        set_solutions: vec![None; sets.sets().len()],
+        entry_costs,
+        marking,
     };
 
-    // slack under this II with optimistic latencies (precomputed so the
-    // closure does not hold a borrow of the attempt state)
-    let opt_lats: Vec<u32> = (0..loop_.ops.len())
-        .map(|i| a.optimistic_latency(OpId(i as u32)))
-        .collect();
-    let opt = |op: OpId| opt_lats[op.index()];
-    let timing = ddg.asap_alap(ii, opt)?;
-    for i in 0..loop_.ops.len() {
-        a.static_slack[i] = timing.slack(OpId(i as u32));
-    }
-
     // ➋ initial latency assignment: N·NE most critical candidates
-    if let Mode::L0 { mark, .. } = mode {
-        a.reassign_latencies(mark);
+    if let Mode::L0 { .. } = mode {
+        a.reassign_latencies();
     }
 
     // step 2 ordering
-    let order = sms_order(ddg, ii, opt);
+    let order = sms_order(ddg, &slack);
 
     for op in order {
         let o = loop_.op(op);
@@ -1064,9 +1124,7 @@ fn try_schedule(
         if let Mode::L0 { policy, .. } = mode {
             if o.kind.is_mem() {
                 if let Some(si) = sets.set_of(op) {
-                    if sets.set_mixes_loads_and_stores(si, loop_)
-                        && !a.set_solutions.contains_key(&si)
-                    {
+                    if a.set_solutions[si].is_none() && sets.set_mixes_loads_and_stores(si, loop_) {
                         let has_l0_load = sets.sets()[si]
                             .iter()
                             .any(|&m| loop_.op(m).is_load() && a.l0_assigned[m.index()]);
@@ -1078,7 +1136,7 @@ fn try_schedule(
                                 a.l0_assigned[m.index()] = false;
                             }
                         }
-                        a.set_solutions.insert(si, sol);
+                        a.set_solutions[si] = Some(sol);
                     }
                 }
             }
@@ -1109,8 +1167,8 @@ fn try_schedule(
         }
 
         // ➓ reassign latencies from remaining entries + new slack
-        if let Mode::L0 { mark, .. } = mode {
-            a.reassign_latencies(mark);
+        if let Mode::L0 { .. } = mode {
+            a.reassign_latencies();
         }
     }
 
@@ -1236,7 +1294,7 @@ mod tests {
     }
 
     fn run(l: &LoopNest, c: &MachineConfig, mode: Mode) -> Result<Schedule, ScheduleError> {
-        run_with(l, c, mode, AssignmentPolicy::ContentionBlind, None)
+        run_with(l, c, mode, AssignmentPolicy::ContentionBlind, None, MAX_II)
     }
 
     #[test]
@@ -1421,6 +1479,109 @@ mod tests {
             .map(|p| p.cluster)
             .collect();
         assert_eq!(load_clusters.len(), 4, "interleaved siblings spread out");
+    }
+
+    #[test]
+    fn a_capped_search_reports_its_cap() {
+        let l = LoopBuilder::new("slp")
+            .trip_count(64)
+            .store_load_pair(4)
+            .build();
+        let c = cfg().without_l0();
+        let mode = Mode::Base { load_latency: 6 };
+        let full = run(&l, &c, mode).unwrap();
+        let capped = |max_ii| {
+            run_with(
+                &l,
+                &c,
+                mode,
+                AssignmentPolicy::ContentionBlind,
+                None,
+                max_ii,
+            )
+        };
+        // A cap below the MII makes no attempt and names the cap.
+        assert_eq!(
+            capped(full.mii - 1).unwrap_err(),
+            ScheduleError::NoFeasibleIi {
+                loop_name: "slp".into(),
+                backend: "sms".into(),
+                max_ii_tried: full.mii - 1,
+            }
+        );
+        // A cap at the found II finds the same schedule.
+        let same = capped(full.ii()).unwrap();
+        assert_eq!(
+            serde_json::to_string(&same).unwrap(),
+            serde_json::to_string(&full).unwrap()
+        );
+    }
+
+    #[test]
+    fn admitting_from_one_order_matches_the_full_rule() {
+        // Sort once, then admit after every placement (what SMS does)
+        // must give the verdicts of the whole rule re-run on the ops
+        // still unplaced, for any placement order, budget, policy and
+        // profile heat.
+        let c = cfg();
+        let policies = [
+            MarkPolicy::Selective,
+            MarkPolicy::AllCandidates,
+            MarkPolicy::ProfileGuided,
+        ];
+        let mut verdicts = [0usize; 2];
+        vliw_testutil::cases(48, |case, rng| {
+            let elem = rng.pick(&[1u8, 2, 4]);
+            let body = match rng.range(0, 4) {
+                0 => LoopBuilder::new("k").fir(rng.range_usize(1, 9), elem),
+                1 => LoopBuilder::new("k")
+                    .column_walk(elem, 256)
+                    .elementwise(elem),
+                2 => LoopBuilder::new("k").stencil3(elem).irregular(elem, 4096),
+                _ => LoopBuilder::new("k")
+                    .elementwise(elem)
+                    .store_load_pair(elem),
+            };
+            let l = vliw_ir::unroll(&body.trip_count(256).build(), rng.pick(&[1, 2, 4]));
+            let ii = rng.range(1, 17) as u32;
+            let mark = rng.pick(&policies);
+            // Random stalls on some origin ops: the heat ProfileGuided
+            // sorts by first.
+            let mut hot = vliw_machine::LoopProfile::new("k");
+            for op in 0..l.ops.len() as u32 {
+                if rng.flip() {
+                    hot.add(op, rng.range(0, 4));
+                }
+            }
+            let mut profile = Profile::new(c.clusters, vliw_machine::Topology::Flat);
+            profile.loops.push(hot);
+            let profile = Some(&profile);
+            let slack: Vec<i64> = (0..l.ops.len()).map(|_| rng.range(0, 6) as i64).collect();
+            let costs = entry_costs(&l, &c, ii);
+            let marking = L0Marking::new(&l, mark, profile, &slack, &costs, |_| true);
+            let mut order: Vec<OpId> = l.ops.iter().map(|o| o.id).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.range_usize(0, i + 1));
+            }
+            let mut placed = vec![false; l.ops.len()];
+            for op in std::iter::once(None).chain(order.into_iter().map(Some)) {
+                if let Some(op) = op {
+                    placed[op.index()] = true;
+                }
+                let budget = rng.flip().then(|| rng.range(0, 24) as i64);
+                let unplaced = |op: OpId| !placed[op.index()];
+                let split: Vec<_> = marking.admit(budget, unplaced).collect();
+                let full = mark_l0(&l, mark, profile, &slack, &costs, budget, unplaced);
+                assert_eq!(split, full, "case {case}, {mark:?}, budget {budget:?}");
+                for (_, fits) in full {
+                    verdicts[usize::from(fits)] += 1;
+                }
+            }
+        });
+        assert!(
+            verdicts.iter().all(|&v| v > 0),
+            "admitted/refused {verdicts:?}"
+        );
     }
 
     #[test]

@@ -214,12 +214,19 @@ pub fn assign_hints(schedule: &mut Schedule, cfg: &MachineConfig) {
 mod tests {
     use super::*;
     use crate::coherence::CoherencePolicy;
-    use crate::engine::{run_with, AssignmentPolicy, MarkPolicy, Mode, ScheduleError};
+    use crate::engine::{run_with, AssignmentPolicy, MarkPolicy, Mode, ScheduleError, MAX_II};
     use vliw_ir::{LoopBuilder, LoopNest};
     use vliw_machine::{ClusterId, MachineConfig};
 
     fn run(l: &LoopNest, cfg: &MachineConfig, mode: Mode) -> Result<Schedule, ScheduleError> {
-        run_with(l, cfg, mode, AssignmentPolicy::ContentionBlind, None)
+        run_with(
+            l,
+            cfg,
+            mode,
+            AssignmentPolicy::ContentionBlind,
+            None,
+            MAX_II,
+        )
     }
 
     fn l0_mode() -> Mode {

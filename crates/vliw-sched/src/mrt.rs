@@ -12,9 +12,13 @@ use vliw_machine::{ClusterId, FuKind, MachineConfig};
 pub struct ModuloReservationTable {
     ii: u32,
 
-    /// `fu[slot][cluster][kind]` = used units of that kind.
-    fu: Vec<Vec<[usize; 3]>>,
+    /// `fu[slot · clusters + cluster][kind]` = used units of that kind.
+    fu: Vec<[usize; 3]>,
+    clusters: usize,
     fu_limit: [usize; 3],
+    /// `used[cluster]` = reserved units of every kind over all slots
+    /// (the sum of `fu[..][cluster]`, kept by reserve and release).
+    used: Vec<usize>,
     /// `bus[slot]` = used buses.
     bus: Vec<usize>,
     bus_limit: usize,
@@ -39,8 +43,10 @@ impl ModuloReservationTable {
         ModuloReservationTable {
             ii,
 
-            fu: vec![vec![[0; 3]; cfg.clusters]; ii as usize],
+            fu: vec![[0; 3]; ii as usize * cfg.clusters],
+            clusters: cfg.clusters,
             fu_limit: [cfg.fus.int, cfg.fus.mem, cfg.fus.fp],
+            used: vec![0; cfg.clusters],
             bus: vec![0; ii as usize],
             bus_limit: cfg.buses.count,
         }
@@ -55,10 +61,19 @@ impl ModuloReservationTable {
         (t.rem_euclid(self.ii as i64)) as usize
     }
 
+    /// The FU counters of `cluster` at flat time `t`.
+    fn units(&self, cluster: ClusterId, t: i64) -> &[usize; 3] {
+        &self.fu[self.slot(t) * self.clusters + cluster.index()]
+    }
+
+    fn units_mut(&mut self, cluster: ClusterId, t: i64) -> &mut [usize; 3] {
+        let i = self.slot(t) * self.clusters + cluster.index();
+        &mut self.fu[i]
+    }
+
     /// `true` if a unit of `kind` is free in `cluster` at flat time `t`.
     pub fn fu_free(&self, cluster: ClusterId, kind: FuKind, t: i64) -> bool {
-        let s = self.slot(t);
-        self.fu[s][cluster.index()][kind_index(kind)] < self.fu_limit[kind_index(kind)]
+        self.units(cluster, t)[kind_index(kind)] < self.fu_limit[kind_index(kind)]
     }
 
     /// Reserves a unit of `kind` in `cluster` at flat time `t`.
@@ -69,16 +84,16 @@ impl ModuloReservationTable {
     /// [`fu_free`](Self::fu_free) first.
     pub fn reserve_fu(&mut self, cluster: ClusterId, kind: FuKind, t: i64) {
         assert!(self.fu_free(cluster, kind, t), "FU slot oversubscribed");
-        let s = self.slot(t);
-        self.fu[s][cluster.index()][kind_index(kind)] += 1;
+        self.units_mut(cluster, t)[kind_index(kind)] += 1;
+        self.used[cluster.index()] += 1;
     }
 
     /// Releases a previously reserved unit (used when an op is ejected).
     pub fn release_fu(&mut self, cluster: ClusterId, kind: FuKind, t: i64) {
-        let s = self.slot(t);
-        let c = &mut self.fu[s][cluster.index()][kind_index(kind)];
+        let c = &mut self.units_mut(cluster, t)[kind_index(kind)];
         assert!(*c > 0, "releasing an empty FU slot");
         *c -= 1;
+        self.used[cluster.index()] -= 1;
     }
 
     /// `true` if an inter-cluster bus is free at flat time `t`.
@@ -114,21 +129,18 @@ impl ModuloReservationTable {
         self.bus[s] -= 1;
     }
 
-    /// Used memory-unit slots in `cluster` across all II slots (for
-    /// workload-balance heuristics).
+    /// Reserved functional-unit slots of every kind (int, memory, FP)
+    /// in `cluster` across all II slots (for workload-balance
+    /// heuristics). O(1): reserve and release keep a per-cluster count.
     pub fn used_in_cluster(&self, cluster: ClusterId) -> usize {
-        self.fu
-            .iter()
-            .map(|slots| slots[cluster.index()].iter().sum::<usize>())
-            .sum()
+        self.used[cluster.index()]
     }
 
     /// `true` if a *memory* unit is in use in `cluster` at flat time `t`
     /// (the SEQ_ACCESS legality test of §3.2: the miss request needs the
     /// cluster↔L1 bus free in the next cycle).
     pub fn mem_busy(&self, cluster: ClusterId, t: i64) -> bool {
-        let s = self.slot(t);
-        self.fu[s][cluster.index()][kind_index(FuKind::Mem)] > 0
+        self.units(cluster, t)[kind_index(FuKind::Mem)] > 0
     }
 
     /// Total free memory slots in `cluster` over one II (for the explicit
@@ -225,6 +237,39 @@ mod tests {
         mrt.reserve_fu(c, FuKind::Mem, 0);
         mrt.reserve_fu(c, FuKind::Mem, 2);
         assert_eq!(mrt.free_mem_slots(c), 2);
+    }
+
+    #[test]
+    fn used_in_cluster_matches_a_full_recount() {
+        // Random interleavings of reserve and release on a 4-cluster
+        // machine: the O(1) counter must equal a recount of every slot.
+        let c = cfg();
+        let kinds = [FuKind::Int, FuKind::Mem, FuKind::Fp];
+        vliw_testutil::cases(64, |case, rng| {
+            let ii = rng.range(1, 9) as u32;
+            let mut mrt = ModuloReservationTable::new(&c, ii);
+            let mut held: Vec<(ClusterId, FuKind, i64)> = Vec::new();
+            for _ in 0..rng.range_usize(1, 200) {
+                if !held.is_empty() && rng.range(0, 3) == 0 {
+                    let (cl, k, t) = held.swap_remove(rng.range_usize(0, held.len()));
+                    mrt.release_fu(cl, k, t);
+                } else {
+                    let cl = ClusterId::new(rng.range_usize(0, c.clusters));
+                    let k = rng.pick(&kinds);
+                    let t = rng.range(0, 64) as i64 - 32;
+                    if mrt.fu_free(cl, k, t) {
+                        mrt.reserve_fu(cl, k, t);
+                        held.push((cl, k, t));
+                    }
+                }
+                for cl in ClusterId::all(c.clusters) {
+                    let recount: usize = (0..ii as i64)
+                        .map(|t| mrt.units(cl, t).iter().sum::<usize>())
+                        .sum();
+                    assert_eq!(mrt.used_in_cluster(cl), recount, "case {case}, {cl:?}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -129,6 +129,14 @@ pub struct Schedule {
     machine: MachineConfig,
 }
 
+/// Cycles one visit of a modulo-scheduled loop takes without stalls:
+/// `(trip − 1)·II + SC·II` (kernel plus prologue/epilogue drain), with
+/// `trip` clamped to at least 1.
+pub(crate) fn compute_cycles(ii: u32, stages: u32, trip: u64) -> u64 {
+    let trip = trip.max(1);
+    (trip - 1) * ii as u64 + (stages as u64) * ii as u64
+}
+
 impl Schedule {
     /// Creates a schedule; computes the stage count from placements. The
     /// target is a placeholder until the compile driver stamps the real
@@ -239,14 +247,7 @@ impl Schedule {
     /// Cycles one visit of the loop takes without stalls:
     /// `(trip − 1)·II + SC·II` (kernel plus prologue/epilogue drain).
     pub fn compute_cycles_per_visit(&self) -> u64 {
-        self.compute_cycles_at(self.loop_.trip_count)
-    }
-
-    /// [`compute_cycles_per_visit`](Self::compute_cycles_per_visit) at
-    /// `trip_count` iterations per visit instead of the loop's own.
-    pub(crate) fn compute_cycles_at(&self, trip_count: u64) -> u64 {
-        let trip = trip_count.max(1);
-        (trip - 1) * self.ii as u64 + (self.stage_count as u64) * self.ii as u64
+        compute_cycles(self.ii, self.stage_count, self.loop_.trip_count)
     }
 
     /// Number of memory ops scheduled with the L0 latency (diagnostics).

@@ -12,22 +12,18 @@
 
 use vliw_ir::{DataDepGraph, OpId};
 
-/// Computes the SMS scheduling order for `ddg` under candidate `ii`.
+/// Computes the SMS scheduling order for `ddg` from each op's `slack`
+/// (indexed by op) under the candidate II — the scheduler's
+/// `asap_alap` slack, with candidates assumed at the L0 latency at this
+/// point, per step 2.
 ///
-/// `lat` is the latency assignment used for slack computation (candidates
-/// assumed at the L0 latency at this point, per step 2).
-///
-/// Returns every node exactly once. Falls back to id order for nodes whose
-/// timing is unconstrained.
-pub fn sms_order(ddg: &DataDepGraph, ii: u32, lat: impl Fn(OpId) -> u32) -> Vec<OpId> {
+/// Returns every node exactly once.
+pub fn sms_order(ddg: &DataDepGraph, slack: &[i64]) -> Vec<OpId> {
     let n = ddg.len();
     if n == 0 {
         return Vec::new();
     }
-    // Slack under the candidate II; if the II is infeasible (shouldn't
-    // happen, caller derives it from MII), treat everything as critical.
-    let timing = ddg.asap_alap(ii, &lat);
-    let slack = |op: OpId| -> i64 { timing.as_ref().map(|t| t.slack(op)).unwrap_or(0) };
+    let slack = |op: OpId| -> i64 { slack[op.index()] };
 
     let mut ordered: Vec<OpId> = Vec::with_capacity(n);
     let mut placed = vec![false; n];
@@ -82,11 +78,18 @@ mod tests {
     use super::*;
     use vliw_ir::{DataDepGraph, LoopBuilder};
 
+    /// Per-op slack of `g` at `ii` under `lat`, as the scheduler
+    /// computes it.
+    fn slack(g: &DataDepGraph, ii: u32, lat: impl Fn(OpId) -> u32) -> Vec<i64> {
+        let t = g.asap_alap(ii, lat).expect("feasible II");
+        (0..g.len()).map(|i| t.slack(OpId(i as u32))).collect()
+    }
+
     #[test]
     fn every_node_ordered_once() {
         let l = LoopBuilder::new("fir").fir(4, 2).build();
         let g = DataDepGraph::build(&l);
-        let order = sms_order(&g, 3, |op| l.op(op).default_latency());
+        let order = sms_order(&g, &slack(&g, 3, |op| l.op(op).default_latency()));
         assert_eq!(order.len(), l.ops.len());
         let mut seen = vec![false; l.ops.len()];
         for op in &order {
@@ -99,13 +102,14 @@ mod tests {
     fn critical_recurrence_comes_early() {
         let l = LoopBuilder::new("slp").store_load_pair(4).build();
         let g = DataDepGraph::build(&l);
-        let order = sms_order(&g, 4, |op| {
+        let lat = |op: OpId| {
             if l.op(op).kind.is_mem() {
                 6
             } else {
                 l.op(op).default_latency()
             }
-        });
+        };
+        let order = sms_order(&g, &slack(&g, 8, lat));
         // the recurrence ops (loads/store/alu of the carried chain) should
         // appear before the loop-control ops
         let branch_pos = order
@@ -124,7 +128,7 @@ mod tests {
             .elementwise(2)
             .build();
         let g = DataDepGraph::build(&l);
-        let order = sms_order(&g, 1, |op| l.op(op).default_latency());
+        let order = sms_order(&g, &slack(&g, 1, |op| l.op(op).default_latency()));
         // each ordered node (after the first of its component) has a DDG
         // neighbour among previously ordered nodes
         for (i, &op) in order.iter().enumerate().skip(1) {
@@ -160,6 +164,6 @@ mod tests {
             .int_overhead(0)
             .build();
         let g = DataDepGraph::build(&l);
-        assert!(sms_order(&g, 1, |_| 1).is_empty());
+        assert!(sms_order(&g, &[]).is_empty());
     }
 }
