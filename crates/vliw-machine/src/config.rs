@@ -429,18 +429,22 @@ impl MachineConfig {
         if self.clusters == 0 {
             return Err("machine must have at least one cluster".into());
         }
-        if !self.l1.block_bytes.is_multiple_of(self.clusters) {
+        let l1 = &self.l1;
+        if l1.size_bytes == 0 || l1.block_bytes == 0 || l1.associativity == 0 {
             return Err(format!(
-                "L1 block size {} is not divisible by {} clusters",
-                self.l1.block_bytes, self.clusters
+                "L1 geometry must be nonzero (size {} B, block {} B, {}-way)",
+                l1.size_bytes, l1.block_bytes, l1.associativity
             ));
         }
-        if !self
-            .l1
-            .size_bytes
-            .is_multiple_of(self.l1.block_bytes * self.l1.associativity)
-        {
-            return Err("L1 size must be a whole number of sets".into());
+        if !l1.block_bytes.is_multiple_of(self.clusters) {
+            return Err(format!(
+                "L1 block size {} is not divisible by {} clusters",
+                l1.block_bytes, self.clusters
+            ));
+        }
+        match l1.block_bytes.checked_mul(l1.associativity) {
+            Some(set_bytes) if l1.size_bytes.is_multiple_of(set_bytes) => {}
+            _ => return Err("L1 size must be a whole number of sets".into()),
         }
         if self.fus.total() == 0 {
             return Err("clusters must have at least one functional unit".into());
@@ -581,6 +585,32 @@ mod tests {
         let mut cfg = MachineConfig::micro2003();
         cfg.clusters = 3;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_zero_or_overflowing_l1_geometry() {
+        // Each of these used to pass `validate` (`0 % 0`-free checks, or
+        // a wrapping `block × assoc`) and then panic in the cache
+        // constructor at simulate time.
+        let with_l1 = |size_bytes, block_bytes, associativity| {
+            let mut cfg = MachineConfig::micro2003();
+            cfg.l1 = L1Config {
+                size_bytes,
+                block_bytes,
+                associativity,
+                ..cfg.l1
+            };
+            cfg.validate()
+        };
+        assert!(with_l1(0, 0, 2).is_err(), "zero block, zero size");
+        assert!(with_l1(0, 32, 0).is_err(), "zero ways, zero size");
+        assert!(with_l1(0, 32, 2).is_err(), "zero size");
+        assert!(with_l1(8192, 0, 2).is_err(), "zero block");
+        assert!(with_l1(8192, 32, 0).is_err(), "zero ways");
+        let wraps = (usize::MAX / 32) + 2;
+        assert!(with_l1(8192, 32, wraps).is_err(), "block × ways overflows");
+        assert!(with_l1(8192, 32, 2).is_ok());
+        assert!(with_l1(32, 32, 1).is_ok(), "one single-line set");
     }
 
     #[test]

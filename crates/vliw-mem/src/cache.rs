@@ -155,27 +155,30 @@ impl<S: Copy> SetAssocCache<S> {
         Some(self.sets[set].swap_remove(pos).state)
     }
 
-    /// Folds the cache's resident state into `h` at boundary `base`.
+    /// Appends the cache's resident state to `out` at boundary `base`.
     ///
-    /// Lines are streamed in per-set vector order: eviction picks the
-    /// first minimum-`last_use` line and `invalidate` uses
-    /// `swap_remove`, so the order is part of the observable LRU state.
-    /// `last_use` enters as its set-local replacement rank
+    /// Each set writes its length, then its lines in vector order:
+    /// eviction picks the first minimum-`last_use` line and `invalidate`
+    /// uses `swap_remove`, so the order is part of the observable LRU
+    /// state. Each line writes its tag, its state bits, and `last_use`
+    /// as its set-local replacement rank
     /// ([`lru_rank_by`](crate::digest::lru_rank_by)) — only the order is
     /// observable, and warm lines that are never touched again would
     /// otherwise slide at every boundary. The monotonic `tick` is
     /// excluded — it is bumped on lookups but never consulted by any
     /// replacement decision.
-    pub(crate) fn digest_into(&self, h: &mut crate::digest::Fnv, base: u64)
+    pub(crate) fn key_into(&self, out: &mut Vec<u64>, base: u64)
     where
-        S: crate::digest::DigestState,
+        S: crate::digest::KeyState,
     {
         for set in &self.sets {
-            h.write_u64(set.len() as u64);
+            out.push(set.len() as u64);
             for (i, line) in set.iter().enumerate() {
-                h.write_u64(line.tag);
-                h.write_u64(crate::digest::lru_rank_by(set, i, base, |l| l.last_use));
-                h.write_u64(line.state.digest_bits());
+                out.extend([
+                    line.tag,
+                    crate::digest::lru_rank_by(set, i, base, |l| l.last_use),
+                    line.state.key_bits(),
+                ]);
             }
         }
     }
@@ -256,6 +259,31 @@ mod tests {
         assert!(c.set_state(0, 2));
         assert_eq!(c.peek(0), Some(2));
         assert!(!c.set_state(512, 2));
+    }
+
+    #[test]
+    fn lru_order_alone_changes_the_key() {
+        let key = |c: &SetAssocCache<()>| {
+            let mut out = Vec::new();
+            c.key_into(&mut out, 10);
+            out
+        };
+        // Set 0 holds blocks 0 and 64 in the same vector slots in both
+        // caches; only their recency order differs.
+        let mut a: SetAssocCache<()> = SetAssocCache::new(128, 32, 2);
+        a.insert(0, (), 1);
+        a.insert(64, (), 2);
+        let mut b = a.clone();
+        b.lookup(0, 3);
+        assert_ne!(key(&a), key(&b));
+        // The same order at other absolute stamps is the same state.
+        let mut c: SetAssocCache<()> = SetAssocCache::new(128, 32, 2);
+        c.insert(0, (), 5);
+        c.insert(64, (), 7);
+        assert_eq!(key(&a), key(&c));
+        // …and the order is observable: the next fill evicts differently.
+        assert_eq!(a.insert(128, (), 11), Some((0, ())));
+        assert_eq!(b.insert(128, (), 11), Some((64, ())));
     }
 
     #[test]

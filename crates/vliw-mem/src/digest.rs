@@ -1,53 +1,16 @@
-//! FNV-1a plumbing for the fast-forward state digests (DESIGN.md §14).
+//! Shared encodings for the fast-forward state keys (DESIGN.md §14).
 //!
-//! Every model's [`MemoryModel::state_digest`](crate::MemoryModel::state_digest)
-//! folds its arbitration and buffer state through one of these streams,
-//! with clock-bearing fields expressed relative to the caller's
-//! `base_cycle` so that two machine states that differ only by a rigid
-//! time translation hash identically. The constants match the service
-//! layer's content-address keys (`vliw-service`), the workspace's one
-//! hashing idiom.
+//! Every model's [`MemoryModel::state_key`](crate::MemoryModel::state_key)
+//! writes its arbitration and buffer state as a word list, with
+//! clock-bearing fields expressed relative to the caller's `base_cycle`
+//! so that two machine states that differ only by a rigid time
+//! translation encode identically. The encoding is exact, not hashed:
+//! every container writes its length (or live count) before its
+//! elements, so the list is self-delimiting and two equal keys mean two
+//! equal states. The helpers here encode the two kinds of timestamp the
+//! containers hold and the containers whose storage order is not state.
 
-/// An incremental 64-bit FNV-1a stream.
-#[derive(Debug, Clone)]
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1_0000_01b3;
-
-    /// A fresh stream at the FNV offset basis.
-    pub(crate) fn new() -> Self {
-        Fnv(Self::BASIS)
-    }
-
-    /// Folds one `u64` into the stream, byte-wise little-endian.
-    pub(crate) fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// The digest so far.
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One-shot digest of a `(tag, values...)` tuple — used for the
-/// order-independent folds (wheel slots sit at arbitrary ring indices,
-/// so their digests are XOR-combined rather than streamed in ring
-/// order).
-pub(crate) fn fnv_tuple(parts: &[u64]) -> u64 {
-    let mut h = Fnv::new();
-    for &p in parts {
-        h.write_u64(p);
-    }
-    h.finish()
-}
-
-/// Digest encoding of one LRU timestamp at fast-forward boundary `base`:
+/// Key encoding of one LRU timestamp at fast-forward boundary `base`:
 /// entry `i`'s rank in the container's `(last_use, index)` order, with
 /// bit 0 flagging `last_use == base`.
 ///
@@ -57,7 +20,7 @@ pub(crate) fn fnv_tuple(parts: &[u64]) -> u64 {
 /// against each other (ties broken by vector index, exactly the
 /// `(last_use, index)` order this rank encodes) or against a future
 /// stamp, where the one distinguishable case is `last_use == base`
-/// meeting a touch at exactly `base` (the flag). Digesting raw offsets
+/// meeting a touch at exactly `base` (the flag). Encoding raw offsets
 /// instead would keep long-idle entries' offsets sliding at every
 /// boundary and block recurrence for any workload with warm, untouched
 /// residents.
@@ -71,7 +34,7 @@ pub(crate) fn lru_rank_by<T>(items: &[T], i: usize, base: u64, lu: impl Fn(&T) -
     (rank << 1) | (lu(&items[i]) == base) as u64
 }
 
-/// Digest encoding of a future-event timestamp at boundary `base`: the
+/// Key encoding of a future-event timestamp at boundary `base`: the
 /// offset while the event is still ahead of every future probe, a
 /// constant 0 once it is dead (`ready_at <= base` — such a timestamp
 /// only ever meets `max(cycle)` / `min(new)` comparisons against cycles
@@ -80,16 +43,35 @@ pub(crate) fn live_ready(ready_at: u64, base: u64) -> u64 {
     ready_at.saturating_sub(base)
 }
 
-/// Cache-line payload states that know how to contribute to a digest.
-/// Implemented for `()` (the plain unified/interleaved tags) and the
-/// MultiVLIW MSI state.
-pub(crate) trait DigestState {
-    /// A stable encoding of the state, distinct per variant.
-    fn digest_bits(&self) -> u64;
+/// Appends `items` to `out` as a count followed by the items' words in
+/// ascending record order — the exact encoding of a container whose
+/// storage order decides nothing (wheel slots, MSHR flight windows).
+/// Sorts in place, so it allocates nothing beyond `out`'s growth.
+pub(crate) fn push_sorted<const N: usize>(
+    out: &mut Vec<u64>,
+    items: impl IntoIterator<Item = [u64; N]>,
+) {
+    let at = out.len();
+    out.push(0);
+    for item in items {
+        out.extend(item);
+    }
+    let (records, rest) = out[at + 1..].as_chunks_mut::<N>();
+    debug_assert!(rest.is_empty());
+    records.sort_unstable();
+    out[at] = ((out.len() - at - 1) / N) as u64;
 }
 
-impl DigestState for () {
-    fn digest_bits(&self) -> u64 {
+/// Cache-line payload states that know how to contribute to a state
+/// key. Implemented for `()` (the plain unified/interleaved tags) and
+/// the MultiVLIW MSI state.
+pub(crate) trait KeyState {
+    /// A stable encoding of the state, distinct per variant.
+    fn key_bits(&self) -> u64;
+}
+
+impl KeyState for () {
+    fn key_bits(&self) -> u64 {
         0
     }
 }
@@ -99,25 +81,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stream_matches_known_fnv_shape() {
-        // Deterministic, order-sensitive, and distinct from the basis.
-        let mut a = Fnv::new();
-        a.write_u64(1);
-        a.write_u64(2);
-        let mut b = Fnv::new();
-        b.write_u64(2);
-        b.write_u64(1);
-        assert_ne!(a.finish(), b.finish(), "order matters in the stream");
-        assert_ne!(a.finish(), Fnv::new().finish());
-        let mut c = Fnv::new();
-        c.write_u64(1);
-        c.write_u64(2);
-        assert_eq!(a.finish(), c.finish(), "deterministic");
+    fn sorted_lists_are_order_free_and_self_delimiting() {
+        // Appends after whatever `out` already holds, count first.
+        let key = |items: Vec<[u64; 2]>| {
+            let mut out = vec![9];
+            push_sorted(&mut out, items);
+            out
+        };
+        assert_eq!(key(vec![[3, 1], [1, 2]]), key(vec![[1, 2], [3, 1]]));
+        assert_eq!(key(vec![[3, 1], [1, 2]]), vec![9, 2, 1, 2, 3, 1]);
+        assert_eq!(key(vec![]), vec![9, 0]);
     }
 
     #[test]
-    fn tuple_digest_is_order_sensitive_inside_the_tuple() {
-        assert_ne!(fnv_tuple(&[3, 4]), fnv_tuple(&[4, 3]));
-        assert_eq!(fnv_tuple(&[3, 4]), fnv_tuple(&[3, 4]));
+    fn ranks_follow_last_use_then_index() {
+        let lu = [5u64, 1, 5];
+        let rank = |i| lru_rank_by(&lu, i, 5, |&x| x);
+        assert_eq!([rank(0), rank(1), rank(2)], [(1 << 1) | 1, 0, (2 << 1) | 1]);
     }
 }

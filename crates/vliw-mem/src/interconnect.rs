@@ -483,26 +483,29 @@ impl Interconnect {
         route
     }
 
-    /// Folds the network's arbitration state into `h`, cycles relative
+    /// Appends the network's arbitration state to `out`, cycles relative
     /// to `base` (DESIGN.md §14). The cumulative `link_load`/`bank_load`
     /// profiling counters are deliberately excluded: they are monotonic
     /// observables, never consulted by arbitration, and the fast-forward
-    /// runner batches them by delta instead. A lazily-allocated link
-    /// wheel digests differently from a never-touched one even when
-    /// both are empty — that can only delay detection (allocation state
-    /// stabilizes after warm-up), never corrupt it.
-    pub(crate) fn digest_into(&self, h: &mut crate::digest::Fnv, base: u64) {
+    /// runner batches them by delta instead. The allocated links are
+    /// counted first and each writes its index before its wheel, so the
+    /// list stays self-delimiting. A lazily-allocated link wheel encodes
+    /// differently from a never-touched one even when both are empty —
+    /// that can only delay detection (allocation state stabilizes after
+    /// warm-up), never corrupt it.
+    pub(crate) fn key_into(&self, out: &mut Vec<u64>, base: u64) {
         for slots in &self.granted {
-            slots.digest_into(h, base);
+            slots.key_into(out, base);
         }
+        out.push(self.links.iter().flatten().count() as u64);
         for (idx, link) in self.links.iter().enumerate() {
             if let Some(slots) = link {
-                h.write_u64(idx as u64);
-                slots.digest_into(h, base);
+                out.push(idx as u64);
+                slots.key_into(out, base);
             }
         }
         for slots in &self.cluster_ports {
-            slots.digest_into(h, base);
+            slots.key_into(out, base);
         }
     }
 

@@ -117,21 +117,21 @@ impl AttractionBuffer {
         self.entries.len()
     }
 
-    /// Folds the buffer's entries into `h` at boundary `base`. Entries
-    /// stream in storage order, which is word order, so equal sets
-    /// digest equal. `last_use` enters as its replacement rank and
+    /// Appends the buffer's entries to `out` at boundary `base`: the
+    /// count, then the entries in storage order, which is word order, so
+    /// equal sets encode equal. `last_use` enters as its replacement rank and
     /// `ready_at` as its live offset
     /// ([`lru_rank_by`](crate::digest::lru_rank_by) /
     /// [`live_ready`](crate::digest::live_ready)); the rank's index
     /// tie-break is the word order the victim rule uses.
-    fn digest_into(&self, h: &mut crate::digest::Fnv, base: u64) {
-        h.write_u64(self.entries.len() as u64);
+    fn key_into(&self, out: &mut Vec<u64>, base: u64) {
+        out.push(self.entries.len() as u64);
         for (i, e) in self.entries.iter().enumerate() {
-            h.write_u64(e.word_addr);
-            h.write_u64(crate::digest::lru_rank_by(&self.entries, i, base, |x| {
-                x.last_use
-            }));
-            h.write_u64(crate::digest::live_ready(e.ready_at, base));
+            out.extend([
+                e.word_addr,
+                crate::digest::lru_rank_by(&self.entries, i, base, |x| x.last_use),
+                crate::digest::live_ready(e.ready_at, base),
+            ]);
         }
     }
 
@@ -396,17 +396,15 @@ impl MemoryModel for WordInterleavedMem {
         (!self.ic.is_flat()).then(|| self.ic.network_load())
     }
 
-    fn state_digest(&self, base_cycle: u64) -> u64 {
-        let mut h = crate::digest::Fnv::new();
+    fn state_key(&self, base_cycle: u64, out: &mut Vec<u64>) {
         for bank in &self.banks {
-            bank.digest_into(&mut h, base_cycle);
+            bank.key_into(out, base_cycle);
         }
         for ab in &self.attraction {
-            ab.digest_into(&mut h, base_cycle);
+            ab.key_into(out, base_cycle);
         }
-        self.ic.digest_into(&mut h, base_cycle);
-        self.mshr.digest_into(&mut h, base_cycle);
-        h.finish()
+        self.ic.key_into(out, base_cycle);
+        self.mshr.key_into(out, base_cycle);
     }
 
     fn advance_clock(&mut self, delta: u64) {
@@ -506,9 +504,9 @@ mod tests {
     }
 
     #[test]
-    fn attraction_buffer_digest_is_insertion_order_free() {
+    fn attraction_buffer_key_is_insertion_order_free() {
         // Three words owned by cluster 1, in three different L1 blocks
-        // (one line per L1 set, so the banks' digests are order-free
+        // (one line per L1 set, so the banks' keys are order-free
         // too). Cluster 0 attracts them in opposite orders, then touches
         // them in one order, so both buffers end with equal timestamps.
         let words = [0x104u64, 0x124, 0x144];
@@ -525,7 +523,12 @@ mod tests {
         };
         let a = build(words);
         let b = build([words[2], words[1], words[0]]);
-        assert_eq!(a.state_digest(1000), b.state_digest(1000));
+        let key = |m: &WordInterleavedMem| {
+            let mut out = Vec::new();
+            m.state_key(1000, &mut out);
+            out
+        };
+        assert_eq!(key(&a), key(&b));
     }
 
     #[test]
@@ -551,12 +554,12 @@ mod tests {
         let (wa, wb): (Vec<u64>, Vec<u64>) = (words(&a), words(&b));
         assert_eq!(wa, wb);
         assert_eq!(wa, vec![y, z, w]);
-        let digest = |ab: &AttractionBuffer| {
-            let mut h = crate::digest::Fnv::new();
-            ab.digest_into(&mut h, 7);
-            h.finish()
+        let key = |ab: &AttractionBuffer| {
+            let mut out = Vec::new();
+            ab.key_into(&mut out, 7);
+            out
         };
-        assert_eq!(digest(&a), digest(&b));
+        assert_eq!(key(&a), key(&b));
     }
 
     #[test]

@@ -350,35 +350,36 @@ impl L0Buffer {
         self.entries.clear();
     }
 
-    /// Folds the buffer's state into `h` at boundary `base`.
+    /// Appends the buffer's state to `out` at boundary `base`.
     ///
-    /// Entries are streamed in vector order: probes break `last_use`
-    /// ties toward the earlier index and eviction/`swap_remove` reorder
-    /// the vector, so the order is part of the observable LRU state.
+    /// The entry count comes first, then the entries in vector order:
+    /// probes break `last_use` ties toward the earlier index and
+    /// eviction/`swap_remove` reorder the vector, so the order is part of
+    /// the observable LRU state.
     /// `last_use` enters as its replacement rank and `ready_at` as its
     /// live offset ([`lru_rank_by`](crate::digest::lru_rank_by) /
     /// [`live_ready`](crate::digest::live_ready)): a landed fill's
     /// `ready_at` only ever meets `max(cycle)` / `min(new)` against
     /// future cycles, so its exact value is dead state.
-    pub(crate) fn digest_into(&self, h: &mut crate::digest::Fnv, base: u64) {
-        h.write_u64(self.entries.len() as u64);
+    pub(crate) fn key_into(&self, out: &mut Vec<u64>, base: u64) {
+        out.push(self.entries.len() as u64);
         for (i, e) in self.entries.iter().enumerate() {
-            h.write_u64(e.block_addr);
             let (m0, m1, m2) = match e.mapping {
                 EntryMapping::Linear { sub_index } => (0, sub_index as u64, 0),
                 EntryMapping::Interleaved { factor, lane } => (1, factor as u64, lane as u64),
             };
-            h.write_u64(m0 | (m1 << 8) | (m2 << 24));
-            h.write_u64(crate::digest::lru_rank_by(&self.entries, i, base, |x| {
-                x.last_use
-            }));
-            h.write_u64(crate::digest::live_ready(e.ready_at, base));
             let hint = match e.prefetch {
                 PrefetchHint::None => 0u64,
                 PrefetchHint::Positive => 1,
                 PrefetchHint::Negative => 2,
             };
-            h.write_u64(hint | ((e.elem_bytes as u64) << 8));
+            out.extend([
+                e.block_addr,
+                m0 | (m1 << 8) | (m2 << 24),
+                crate::digest::lru_rank_by(&self.entries, i, base, |x| x.last_use),
+                crate::digest::live_ready(e.ready_at, base),
+                hint | ((e.elem_bytes as u64) << 8),
+            ]);
         }
     }
 

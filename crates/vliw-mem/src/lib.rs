@@ -112,27 +112,33 @@ pub trait MemoryModel {
         None
     }
 
-    /// A translation-invariant digest of every piece of state that can
-    /// influence the timing of a *future* request: buffer/cache contents
-    /// (addresses absolute, LRU timestamps relative to `base_cycle`),
-    /// interconnect occupancies and MSHR flight windows expressed
-    /// relative to `base_cycle`. Two instants with equal digests (for
-    /// their respective bases) behave identically for identical
-    /// subsequent request streams shifted by the base difference.
+    /// Appends to `out` an exact, translation-invariant encoding of
+    /// every piece of state that can influence the timing of a *future*
+    /// request: buffer/cache contents (addresses absolute, LRU
+    /// timestamps as ranks), interconnect occupancies and MSHR flight
+    /// windows expressed relative to `base_cycle`. The words are the
+    /// state, not a hash of it: two instants whose keys (for their
+    /// respective bases) are equal behave identically for identical
+    /// subsequent request streams shifted by the base difference, so
+    /// one recurrence is proof of a steady period (DESIGN.md §14).
     ///
-    /// Monotonic observables that arbitration never consults (statistics
-    /// counters, link/bank load profiles) are excluded — the runner
-    /// batches those separately in closed form.
+    /// `base_cycle` is a promise by the caller that every future request
+    /// is at or after it; state that no such request can observe (a
+    /// landed fill's ready time, a slot behind `base_cycle`) is encoded
+    /// as dead. Monotonic observables that arbitration never consults
+    /// (statistics counters, link/bank load profiles) are excluded — the
+    /// runner batches those separately in closed form.
     ///
     /// Required, with [`advance_clock`](MemoryModel::advance_clock): the
     /// runner's steady-state fast-forward trusts both on every model. A
-    /// stateless model returns a constant.
-    fn state_digest(&self, base_cycle: u64) -> u64;
+    /// stateless model writes nothing.
+    fn state_key(&self, base_cycle: u64, out: &mut Vec<u64>);
 
     /// Shifts every clock-bearing piece of model state forward by
     /// `delta` cycles, realizing the translation that
-    /// [`state_digest`](MemoryModel::state_digest) promises is invisible:
+    /// [`state_key`](MemoryModel::state_key) promises is invisible:
     /// after `advance_clock(d)`, requests at `cycle + d` behave exactly
-    /// as requests at `cycle` would have before.
+    /// as requests at `cycle` would have before, and the key relative to
+    /// `base + d` equals the key relative to `base` before.
     fn advance_clock(&mut self, delta: u64);
 }

@@ -95,8 +95,9 @@ impl MshrFile {
         true
     }
 
-    /// Folds the file's *live* flight windows into `h`, timestamps
-    /// relative to `base`.
+    /// Appends the file's *live* flight windows to `out`, timestamps
+    /// relative to `base`: per bank, a sorted list of `(block, issued,
+    /// ready)` records.
     ///
     /// `base` is a promise that every future probe (`lookup` cycle,
     /// `register` issue) happens at or after it, so an entry with
@@ -105,25 +106,15 @@ impl MshrFile {
     /// `issued_at` in the past is clamped to `base` — the effective
     /// future window is `[max(issued_at, base), ready_at)` either way.
     /// Blocks are unique per bank (`register` retains-then-pushes), so
-    /// vector order decides nothing; live entries fold XOR-wise with a
-    /// count anchor, keeping the digest independent of how dead entries
-    /// interleave.
-    pub(crate) fn digest_into(&self, h: &mut crate::digest::Fnv, base: u64) {
+    /// vector order decides nothing; sorting the live records keeps the
+    /// key independent of how dead entries interleave.
+    pub(crate) fn key_into(&self, out: &mut Vec<u64>, base: u64) {
         for bank in &self.banks {
-            let mut fold = 0u64;
-            let mut live = 0u64;
-            for e in bank {
-                if e.ready_at > base {
-                    fold ^= crate::digest::fnv_tuple(&[
-                        e.block,
-                        e.issued_at.saturating_sub(base),
-                        e.ready_at - base,
-                    ]);
-                    live += 1;
-                }
-            }
-            h.write_u64(live);
-            h.write_u64(fold);
+            let live = bank
+                .iter()
+                .filter(|e| e.ready_at > base)
+                .map(|e| [e.block, e.issued_at.saturating_sub(base), e.ready_at - base]);
+            crate::digest::push_sorted(out, live);
         }
     }
 
@@ -226,7 +217,7 @@ mod tests {
         // at the drain clock before every access, retired once per
         // REPLAY_HORIZON cycles (the runner's cadence), and never. While
         // replay skew stays under the horizon, every reply and every
-        // live-state digest must agree.
+        // live-state key must agree.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -234,10 +225,10 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let digest = |m: &MshrFile, base: u64| {
-            let mut h = crate::digest::Fnv::new();
-            m.digest_into(&mut h, base);
-            h.finish()
+        let key = |m: &MshrFile, base: u64| {
+            let mut out = Vec::new();
+            m.key_into(&mut out, base);
+            out
         };
         let horizon = crate::REPLAY_HORIZON;
         let mut every = MshrFile::new(4, 4);
@@ -272,8 +263,8 @@ mod tests {
             }
         }
         let base = clock.saturating_sub(300);
-        assert_eq!(digest(&every, base), digest(&never, base));
-        assert_eq!(digest(&sparse, base), digest(&never, base));
+        assert_eq!(key(&every, base), key(&never, base));
+        assert_eq!(key(&sparse, base), key(&never, base));
         let held = |m: &MshrFile| m.banks.iter().map(Vec::len).sum::<usize>();
         assert!(
             held(&every) < held(&never),

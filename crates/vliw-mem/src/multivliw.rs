@@ -24,8 +24,8 @@ enum Msi {
     Shared,
 }
 
-impl crate::digest::DigestState for Msi {
-    fn digest_bits(&self) -> u64 {
+impl crate::digest::KeyState for Msi {
+    fn key_bits(&self) -> u64 {
         match self {
             Msi::Modified => 1,
             Msi::Shared => 2,
@@ -279,14 +279,12 @@ impl MemoryModel for MultiVliwMem {
         (!self.ic.is_flat()).then(|| self.ic.network_load())
     }
 
-    fn state_digest(&self, base_cycle: u64) -> u64 {
-        let mut h = crate::digest::Fnv::new();
+    fn state_key(&self, base_cycle: u64, out: &mut Vec<u64>) {
         for bank in &self.banks {
-            bank.digest_into(&mut h, base_cycle);
+            bank.key_into(out, base_cycle);
         }
-        self.ic.digest_into(&mut h, base_cycle);
-        self.mshr.digest_into(&mut h, base_cycle);
-        h.finish()
+        self.ic.key_into(out, base_cycle);
+        self.mshr.key_into(out, base_cycle);
     }
 
     fn advance_clock(&mut self, delta: u64) {

@@ -128,12 +128,12 @@ impl L1Stack {
         }
     }
 
-    /// Folds the stack's timing-relevant state (L1 tags, interconnect
-    /// occupancies, MSHR flight windows) into `h` relative to `base`.
-    fn digest_into(&self, h: &mut crate::digest::Fnv, base: u64) {
-        self.l1.digest_into(h, base);
-        self.ic.digest_into(h, base);
-        self.mshr.digest_into(h, base);
+    /// Appends the stack's timing-relevant state (L1 tags, interconnect
+    /// occupancies, MSHR flight windows) to `out` relative to `base`.
+    fn key_into(&self, out: &mut Vec<u64>, base: u64) {
+        self.l1.key_into(out, base);
+        self.ic.key_into(out, base);
+        self.mshr.key_into(out, base);
     }
 
     /// Shifts every clock-bearing timestamp forward by `delta` cycles.
@@ -178,10 +178,11 @@ impl ClusterBuses {
         self.reserved[cluster.index()].reserve(cycle, 1)
     }
 
-    /// Folds every cluster's bus reservations into `h` relative to `base`.
-    fn digest_into(&self, h: &mut crate::digest::Fnv, base: u64) {
+    /// Appends every cluster's bus reservations to `out` relative to
+    /// `base`.
+    fn key_into(&self, out: &mut Vec<u64>, base: u64) {
         for bus in &self.reserved {
-            bus.digest_into(h, base);
+            bus.key_into(out, base);
         }
     }
 
@@ -264,11 +265,9 @@ impl MemoryModel for UnifiedL1 {
         (!self.stack.ic.is_flat()).then(|| self.stack.ic.network_load())
     }
 
-    fn state_digest(&self, base_cycle: u64) -> u64 {
-        let mut h = crate::digest::Fnv::new();
-        self.buses.digest_into(&mut h, base_cycle);
-        self.stack.digest_into(&mut h, base_cycle);
-        h.finish()
+    fn state_key(&self, base_cycle: u64, out: &mut Vec<u64>) {
+        self.buses.key_into(out, base_cycle);
+        self.stack.key_into(out, base_cycle);
     }
 
     fn advance_clock(&mut self, delta: u64) {
@@ -604,14 +603,12 @@ impl MemoryModel for UnifiedWithL0 {
         (!self.stack.ic.is_flat()).then(|| self.stack.ic.network_load())
     }
 
-    fn state_digest(&self, base_cycle: u64) -> u64 {
-        let mut h = crate::digest::Fnv::new();
+    fn state_key(&self, base_cycle: u64, out: &mut Vec<u64>) {
         for buffer in &self.l0 {
-            buffer.digest_into(&mut h, base_cycle);
+            buffer.key_into(out, base_cycle);
         }
-        self.buses.digest_into(&mut h, base_cycle);
-        self.stack.digest_into(&mut h, base_cycle);
-        h.finish()
+        self.buses.key_into(out, base_cycle);
+        self.stack.key_into(out, base_cycle);
     }
 
     fn advance_clock(&mut self, delta: u64) {

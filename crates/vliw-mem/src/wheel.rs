@@ -53,8 +53,8 @@ pub struct SlotWheel {
     /// out-of-order replay window).
     horizon: u64,
     /// Highest local cycle any grant was ever seated at — caps the live
-    /// window `[base, max_granted]` that [`SlotWheel::digest_into`]
-    /// scans, so digesting an idle or lightly-loaded wheel never walks
+    /// window `[base, max_granted]` that [`SlotWheel::key_into`]
+    /// scans, so encoding an idle or lightly-loaded wheel never walks
     /// the ring.
     max_granted: u64,
     /// Global time of local cycle 0: the sum of every fast-forward
@@ -159,60 +159,54 @@ impl SlotWheel {
         }
     }
 
-    /// Folds the wheel's *live* occupancy into `h`, with every cycle
-    /// expressed relative to `base` so that two wheels differing only by
-    /// a rigid time shift digest identically.
+    /// Appends the wheel's *live* occupancy to `out` as a sorted list
+    /// of `(cycle - base, grants)` pairs, so that two wheels differing
+    /// only by a rigid time shift encode identically.
     ///
     /// `base` is a promise by the caller that every future probe starts
     /// at or after it, so liveness here is `held >= base` — tighter than
     /// the frontier/horizon reclaim rule. A reservation behind `base`
     /// can never collide with a probed cycle again: `reserve` either
     /// retires it in place or widens the ring around it, and both are
-    /// timing-invisible. Digesting such slots would only delay periodic-
+    /// timing-invisible. Encoding such slots would only delay periodic-
     /// state detection by a whole replay window.
     ///
     /// The frontier is excluded for the same reason: `occupancy` never
     /// reads it, and in `reserve` it only arbitrates grow-vs-retire for
-    /// a stale seat — two paths with identical grant outcomes. Folding
-    /// it in would keep an *idle* wheel (frozen frontier, advancing
-    /// `base`) digesting differently at every boundary.
-    ///
-    /// Live slots sit at arbitrary ring indices (the ring is indexed by
-    /// the cycle's low bits, which `base` shifts), so per-slot digests
-    /// are XOR-combined rather than streamed in ring order; the live
-    /// count anchors the fold.
+    /// a stale seat — two paths with identical grant outcomes. Encoding
+    /// it would keep an *idle* wheel (frozen frontier, advancing `base`)
+    /// encoding differently at every boundary. The ring size is excluded
+    /// too: growth re-seats every live slot without changing a grant.
     ///
     /// Every live slot's cycle lies in `[base, max_granted]`, so when
     /// that window is narrower than the ring the scan probes those
-    /// cycles directly instead of walking every slot — in steady state
-    /// the window is the in-flight depth, not the replay horizon, which
-    /// keeps per-boundary digests cheap enough for iteration-level
-    /// fast-forward detection. Both paths visit exactly the same live
-    /// set, so they fold to the same digest.
-    pub(crate) fn digest_into(&self, h: &mut crate::digest::Fnv, base: u64) {
+    /// cycles directly, in cycle order, instead of walking every slot —
+    /// in steady state the window is the in-flight depth, not the replay
+    /// horizon, which keeps per-boundary keys cheap enough for
+    /// iteration-level fast-forward detection. The full-ring walk visits
+    /// live slots in ring order; sorting by cycle gives both paths the
+    /// same words.
+    pub(crate) fn key_into(&self, out: &mut Vec<u64>, base: u64) {
         let base = base.saturating_sub(self.offset);
-        let mut fold = 0u64;
-        let mut live = 0u64;
-        let mut visit = |c: u32, held: u64| {
-            if c > 0 && held >= base {
-                fold ^= crate::digest::fnv_tuple(&[held - base, c as u64]);
-                live += 1;
-            }
-        };
-        if self.max_granted >= base && self.max_granted - base < self.counts.len() as u64 {
-            for t in base..=self.max_granted {
-                let idx = (t & self.mask) as usize;
-                if self.cycles[idx] == t {
-                    visit(self.counts[idx], t);
-                }
-            }
-        } else if self.max_granted >= base {
-            for (&c, &held) in self.counts.iter().zip(&self.cycles) {
-                visit(c, held);
-            }
+        if self.max_granted < base {
+            out.push(0);
+        } else if self.max_granted - base < self.counts.len() as u64 {
+            let window = (base..=self.max_granted).map(|t| (t & self.mask) as usize);
+            self.push_live(out, base, window);
+        } else {
+            self.push_live(out, base, 0..self.counts.len());
         }
-        h.write_u64(live);
-        h.write_u64(fold);
+    }
+
+    /// Appends the live slots among ring indices `slots` (each visited at
+    /// most once) as sorted `(cycle - base, grants)` pairs; `base` is
+    /// wheel-local.
+    fn push_live(&self, out: &mut Vec<u64>, base: u64, slots: impl Iterator<Item = usize>) {
+        let live = slots.filter_map(|idx| {
+            let (c, held) = (self.counts[idx], self.cycles[idx]);
+            (c > 0 && held >= base).then(|| [held - base, c as u64])
+        });
+        crate::digest::push_sorted(out, live);
     }
 
     /// Shifts every reservation and the frontier forward by `delta`
@@ -342,11 +336,11 @@ mod tests {
     }
 
     #[test]
-    fn digest_is_translation_invariant_and_advance_realizes_the_shift() {
-        let digest = |w: &SlotWheel, base: u64| {
-            let mut h = crate::digest::Fnv::new();
-            w.digest_into(&mut h, base);
-            h.finish()
+    fn key_is_translation_invariant_and_advance_realizes_the_shift() {
+        let key = |w: &SlotWheel, base: u64| {
+            let mut out = Vec::new();
+            w.key_into(&mut out, base);
+            out
         };
         // Same reservation pattern at two different epochs…
         let mut a = SlotWheel::new(64);
@@ -357,14 +351,51 @@ mod tests {
         b.reserve(1100, 2);
         b.reserve(1100, 2);
         b.reserve(1103, 2);
-        // …digest identically relative to their own bases, and advancing
+        // …encode identically relative to their own bases, and advancing
         // the earlier one by the gap makes it behave like the later one.
-        assert_eq!(digest(&a, 100), digest(&b, 1100));
-        assert_ne!(digest(&a, 100), digest(&b, 100));
+        assert_eq!(key(&a, 100), key(&b, 1100));
+        assert_eq!(
+            key(&a, 100),
+            vec![2, 0, 2, 3, 1],
+            "live count, then (offset, grants)"
+        );
+        assert_ne!(key(&a, 100), key(&b, 100));
         a.advance(1000);
-        assert_eq!(digest(&a, 1100), digest(&b, 1100));
+        assert_eq!(key(&a, 1100), key(&b, 1100));
         assert_eq!(a.reserve(1103, 2), b.reserve(1103, 2));
         assert_eq!(a.reserve(1100, 2), b.reserve(1100, 2));
+    }
+
+    #[test]
+    fn windowed_scan_and_full_ring_walk_give_identical_words() {
+        // Random replay-skewed traffic, then every base from well before
+        // the first grant to past the last: wherever `key_into` takes the
+        // windowed scan, the full-ring walk must write the same words.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut w = SlotWheel::new(64);
+        let mut clock = 1000u64;
+        for _ in 0..600 {
+            clock += next() % 3;
+            w.reserve(clock.saturating_sub(next() % 40), 1 + (next() % 3) as u32);
+        }
+        w.advance(12_345);
+        let mut windowed = 0;
+        for base in (w.offset + 900)..=(w.offset + w.max_granted + 2) {
+            let mut fast = Vec::new();
+            w.key_into(&mut fast, base);
+            let local = base - w.offset;
+            let mut full = Vec::new();
+            w.push_live(&mut full, local, 0..w.len());
+            assert_eq!(fast, full, "base {base}");
+            windowed += (local <= w.max_granted && w.max_granted - local < w.len() as u64) as u32;
+        }
+        assert!(windowed > 50, "the windowed scan must be exercised");
     }
 
     #[test]

@@ -97,6 +97,72 @@ mod tests {
     }
 
     #[test]
+    fn every_kind_builds_and_serves_on_edge_configs_validate_accepts() {
+        use vliw_machine::{
+            AccessHint, ClusterId, InterconnectConfig, L0Capacity, L1Config, MappingHint, MemHints,
+        };
+        use vliw_mem::MemRequest;
+        let base = MachineConfig::micro2003();
+        let with = |clusters: usize, size_bytes, block_bytes, associativity| {
+            let mut cfg = base.clone();
+            cfg.clusters = clusters;
+            cfg.l1 = L1Config {
+                size_bytes,
+                block_bytes,
+                associativity,
+                ..cfg.l1
+            };
+            cfg
+        };
+        let edges = [
+            ("one set, one way", with(4, 32, 32, 1)),
+            ("fully associative", with(4, 8192, 32, 256)),
+            ("one-byte subblocks", with(4, 64, 4, 2)),
+            ("one cluster", with(1, 8192, 32, 2)),
+            ("three clusters", with(3, 6144, 48, 2)),
+            ("eight clusters", with(8, 8192, 32, 2)),
+            ("one L0 entry", base.with_l0_entries(L0Capacity::Bounded(1))),
+            ("unbounded L0", base.with_l0_entries(L0Capacity::Unbounded)),
+            ("no L0", base.without_l0()),
+            (
+                "mesh with MSHRs",
+                base.with_interconnect(InterconnectConfig::mesh(4, 1).with_mshr(2)),
+            ),
+        ];
+        let hints = [MappingHint::Linear, MappingHint::Interleaved]
+            .map(|m| MemHints::new(AccessHint::ParAccess).with_mapping(m));
+        for (label, cfg) in edges {
+            cfg.validate()
+                .unwrap_or_else(|e| panic!("{label}: validate rejected it: {e}"));
+            for kind in [
+                MemoryModelKind::Unified,
+                MemoryModelKind::UnifiedL0,
+                MemoryModelKind::MultiVliw,
+                MemoryModelKind::WordInterleaved,
+            ] {
+                if kind == MemoryModelKind::UnifiedL0 && cfg.l0.is_none() {
+                    continue; // documented: no compiled L0 schedule lacks one
+                }
+                let mut model = kind.build(&cfg);
+                let mut cycle = 0;
+                for addr in [0u64, 4, 60, 4096, 1 << 20] {
+                    for c in ClusterId::all(cfg.clusters) {
+                        for h in hints {
+                            cycle += 1;
+                            model.access(&MemRequest::load(c, addr, 4, h, cycle));
+                            model.access(&MemRequest::store(c, addr, 4, h, cycle));
+                        }
+                    }
+                }
+                let mut key = Vec::new();
+                model.state_key(cycle, &mut key);
+                model.advance_clock(1000);
+                assert!(model.stats().accesses > 0, "{label}/{kind:?}");
+            }
+        }
+    }
+
+    #[test]
     fn simulate_runs_every_schedule_on_its_own_model() {
         // Each arch's schedule runs on `for_arch(s.arch())` built on
         // `s.machine()`: no public form runs, say, an L0 schedule on the

@@ -42,18 +42,16 @@ pub enum FfwdReason {
     /// result, so it is the identity of [`SimResult::merge`].
     #[default]
     Fired,
-    /// A period was confirmed, but less than one whole period of the
-    /// visit (iteration level) or of the run (visit level) was left to
-    /// batch.
+    /// A boundary state key recurred one legal period later, but less
+    /// than one whole period of the visit (iteration level) or of the
+    /// run (visit level) was left to batch.
     WindowExhausted,
-    /// Boundary digests recurred, but the per-period counter deltas
-    /// around them differed.
-    DeltasMismatched,
-    /// Boundary digests were compared, and none recurred at a legal
-    /// period.
-    DigestNeverMatched,
-    /// Neither detector could compare two periods: fewer than 3 visits,
-    /// and no more than two iteration strides per visit.
+    /// Boundary state keys were compared, and none recurred at a legal
+    /// period. The keys are exact, so no boundary repeated an earlier
+    /// boundary's state (up to translation).
+    KeyNeverMatched,
+    /// Neither detector was armed: fewer than 3 visits, and no more
+    /// than two iteration strides per visit.
     TooFewVisits,
     /// Neither detector could run: fewer than 3 visits, and no
     /// iteration stride (an irregular address stream, or an alignment
@@ -318,7 +316,7 @@ mod tests {
         let mut b = a.clone();
         b.ffwd.iters_batched = 99;
         b.ffwd.iters_replayed = 1;
-        b.ffwd.reason = FfwdReason::DigestNeverMatched;
+        b.ffwd.reason = FfwdReason::KeyNeverMatched;
         assert_eq!(a, b, "telemetry must not break result equality");
         b.compute_cycles = 11;
         assert_ne!(a, b);
@@ -336,9 +334,9 @@ mod tests {
         let mut a = SimResult::default();
         a.merge(&with(FfwdReason::Fired));
         assert_eq!(a.ffwd.reason, FfwdReason::Fired);
-        a.merge(&with(FfwdReason::DigestNeverMatched));
+        a.merge(&with(FfwdReason::KeyNeverMatched));
         a.merge(&with(FfwdReason::WindowExhausted));
-        assert_eq!(a.ffwd.reason, FfwdReason::DigestNeverMatched);
+        assert_eq!(a.ffwd.reason, FfwdReason::KeyNeverMatched);
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //! every [`REPLAY_HORIZON`] cycles.
 //!
 //! On top of the replay, the runner detects *periodic steady state*
-//! (DESIGN.md §14): when the model's translation-invariant
-//! [`state_digest`](MemoryModel::state_digest) recurs at loop
-//! boundaries with matching per-period result deltas, the remaining
-//! whole periods are accounted in closed form — counters multiplied in,
-//! the model's clock advanced by [`advance_clock`](MemoryModel::advance_clock)
-//! — and replay resumes for the residue. The batching is bit-exact;
-//! [`simulate_replay`] keeps it off, and the equivalence suites pin
-//! fast-forward-on against it.
+//! (DESIGN.md §14): the model's [`state_key`](MemoryModel::state_key)
+//! is an exact, translation-invariant encoding of its state, so the
+//! first loop boundary whose key equals the key one legal period
+//! earlier proves that every later period repeats the last one. The
+//! remaining whole periods are then accounted in closed form — the last
+//! period's counter deltas multiplied in, the model's clock advanced by
+//! [`advance_clock`](MemoryModel::advance_clock) — and replay resumes
+//! for the residue. Warm-up is the cold visit plus one period. The
+//! batching is bit-exact; [`simulate_replay`] keeps it off, and the
+//! equivalence suites pin fast-forward-on against it.
 
 use crate::model::MemoryModelKind;
 use crate::result::{FfwdReason, OpStall, SimResult};
@@ -130,18 +132,18 @@ fn build_events(schedule: &Schedule) -> (Vec<Event>, Vec<Range<usize>>) {
 // Steady-state fast-forward (DESIGN.md §14)
 // ---------------------------------------------------------------------
 
-/// How many iteration boundaries the iteration-level detector digests
-/// before giving up on a visit. Bounds the per-iteration digest cost to
-/// a warm-up prefix; visit-level detection has no such cap (there are
-/// few visits and one digest per visit is cheap).
+/// How many iteration boundaries the iteration-level detector keys
+/// before giving up on a visit. Bounds the per-iteration key cost to a
+/// warm-up prefix; visit-level detection has no such cap (there are few
+/// visits and one key per visit is cheap).
 const ITER_WINDOW: u64 = 80;
 
-/// Everything recorded at one loop boundary: the model's
-/// translation-invariant digest plus cumulative *logical* result
-/// counters (model counters merged with anything already batched in
-/// closed form, so deltas stay correct across an earlier fast-forward).
+/// Everything recorded at one loop boundary: the model's exact state key
+/// plus cumulative *logical* result counters (model counters merged with
+/// anything already batched in closed form, so deltas stay correct
+/// across an earlier fast-forward).
 struct Snapshot {
-    digest: u64,
+    key: Box<[u64]>,
     slip: u64,
     contention: u64,
     link: u64,
@@ -186,28 +188,22 @@ fn op_stall_delta(now: &[OpStall], earlier: &[OpStall]) -> Vec<OpStall> {
     out
 }
 
-/// `true` when the boundary-to-boundary deltas ending at `a` and at `c`
-/// are identical (indices into `h`, both ≥ 1).
-fn delta_eq(h: &[Snapshot], a: usize, c: usize) -> bool {
-    let (na, ea) = (&h[a], &h[a - 1]);
-    let (nc, ec) = (&h[c], &h[c - 1]);
-    na.slip - ea.slip == nc.slip - ec.slip
-        && na.contention - ea.contention == nc.contention - ec.contention
-        && na.link - ea.link == nc.link - ec.link
-        && na.stats.delta_since(&ea.stats) == nc.stats.delta_since(&ec.stats)
-        && na.net.delta_since(&ea.net) == nc.net.delta_since(&ec.net)
-        && op_stall_delta(&na.op_stalls, &ea.op_stalls)
-            == op_stall_delta(&nc.op_stalls, &ec.op_stalls)
-}
-
-/// Ring of boundary snapshots plus the detection rule: fire at boundary
-/// `b` for the smallest legal period `p` (a multiple of `stride`) with
-/// `b >= 2p`, `digest[b] == digest[b-p]`, and every delta of the last
-/// period matching the period before it. The digest match alone already
-/// implies an identical continuation (the digest covers every piece of
-/// timing-relevant state); the delta-sequence check guards against hash
-/// collisions and simultaneously validates the exact deltas the batch
-/// will multiply.
+/// History of boundary snapshots plus the detection rule: fire at
+/// boundary `b` for the smallest legal period `p` (a multiple of
+/// `stride`) with `b >= p` and `key[b] == key[b-p]`.
+///
+/// The key is exact, so one recurrence is proof: the model is in the
+/// same state (up to translation) as one period ago, the runner feeds it
+/// the same request stream (a legal period keeps every address stream
+/// and slot rotation aligned), so the next period repeats the last one
+/// delta for delta — and so does every period after it. The batch
+/// multiplies the last period's deltas ([`Detector::period_delta`]).
+///
+/// Keys are compared word for word, with no hash prefilter: a
+/// comparison stops at the first differing word, and hashing every key
+/// costs more than the comparisons it would skip (on the 52 × 9
+/// `paper_suite` grid, a 2-vCPU VM spent about 1.2 ms per pass hashing
+/// against 0.3 ms comparing).
 struct Detector {
     history: Vec<Snapshot>,
     stride: u64,
@@ -249,19 +245,17 @@ impl Detector {
         }
         self.history.push(snap);
         let b = self.history.len() - 1;
-        let mut p = self.stride as usize;
-        while 2 * p <= b {
-            let h = &self.history;
-            let miss = if h[b].digest != h[b - p].digest {
-                FfwdReason::DigestNeverMatched
-            } else if (0..p).all(|j| delta_eq(h, b - j, b - p - j)) {
-                self.fired = true;
-                return Some(p as u64);
-            } else {
-                FfwdReason::DeltasMismatched
-            };
-            self.note(miss);
-            p += self.stride as usize;
+        let now = &self.history[b];
+        let stride = self.stride as usize;
+        if let Some(p) = (stride..=b)
+            .step_by(stride)
+            .find(|&p| self.history[b - p].key == now.key)
+        {
+            self.fired = true;
+            return Some(p as u64);
+        }
+        if b >= stride {
+            self.note(FfwdReason::KeyNeverMatched);
         }
         if self.history.len() > self.limit {
             self.done = true;
@@ -291,9 +285,13 @@ fn closest(a: Option<FfwdReason>, b: Option<FfwdReason>) -> Option<FfwdReason> {
     a.into_iter().chain(b).min()
 }
 
-/// Captures a boundary: the model's digest relative to `base` plus the
-/// logical cumulative counters (model counters + closed-form extras).
+/// Captures a boundary: the model's state key relative to `base` plus
+/// the logical cumulative counters (model counters + closed-form extras).
+/// The key is built in `key_buf`, reused across boundaries, and kept as
+/// an exact-size copy.
+#[allow(clippy::too_many_arguments)]
 fn take_snapshot(
+    key_buf: &mut Vec<u64>,
     model: &dyn MemoryModel,
     base: u64,
     slip: u64,
@@ -305,8 +303,10 @@ fn take_snapshot(
     stats.merge(stats_extra);
     let mut net = model.network_load().unwrap_or_default();
     net.merge(net_extra);
+    key_buf.clear();
+    model.state_key(base, key_buf);
     Snapshot {
-        digest: model.state_digest(base),
+        key: key_buf.as_slice().into(),
         slip,
         contention: result.contention_stall_cycles,
         link: result.link_stall_cycles,
@@ -446,9 +446,11 @@ pub(crate) fn run(schedule: &Schedule, model: &mut dyn MemoryModel, ffwd: bool) 
     let mut iter_armed = iter_stride.is_some();
     // The miss closest to firing any detector reached this run.
     let mut reached: Option<FfwdReason> = None;
+    let mut key_buf = Vec::new();
     let mut visit_detect = (ffwd && visits >= 3).then(|| Detector::new(1, visits as usize + 1));
     if let Some(det) = visit_detect.as_mut() {
         det.record(take_snapshot(
+            &mut key_buf,
             model,
             clock_base + slip,
             slip,
@@ -468,6 +470,7 @@ pub(crate) fn run(schedule: &Schedule, model: &mut dyn MemoryModel, ffwd: bool) 
             Some(stride) if iter_armed && trip > 2 * stride => {
                 let mut det = Detector::new(stride, ITER_WINDOW as usize);
                 det.record(take_snapshot(
+                    &mut key_buf,
                     model,
                     clock_base + slip,
                     slip,
@@ -537,6 +540,7 @@ pub(crate) fn run(schedule: &Schedule, model: &mut dyn MemoryModel, ffwd: bool) 
             if let Some(det) = iter_detect.as_mut() {
                 if det.active() {
                     let snap = take_snapshot(
+                        &mut key_buf,
                         model,
                         clock_base + i * ii + slip,
                         slip,
@@ -582,7 +586,7 @@ pub(crate) fn run(schedule: &Schedule, model: &mut dyn MemoryModel, ffwd: bool) 
             reached = closest(reached, det.reached);
             // A visit that exhausted its warm-up window without finding a
             // period will not find one next visit either (the request
-            // structure repeats per visit) — stop paying the digests.
+            // structure repeats per visit) — stop paying for the keys.
             // Cross-visit periodicity is the visit detector's job.
             if det.done && !det.fired {
                 iter_armed = false;
@@ -591,6 +595,7 @@ pub(crate) fn run(schedule: &Schedule, model: &mut dyn MemoryModel, ffwd: bool) 
         if let Some(det) = visit_detect.as_mut() {
             if det.active() {
                 let snap = take_snapshot(
+                    &mut key_buf,
                     model,
                     clock_base + slip,
                     slip,
@@ -864,7 +869,7 @@ mod tests {
     #[test]
     fn visit_level_fast_forward_fires_and_is_bit_exact() {
         // 24 visits: enough to confirm even a multi-visit steady period
-        // (confirmation needs two full periods after the cold visits).
+        // (confirmation needs one full period after the cold visits).
         let l = LoopBuilder::new("ew")
             .trip_count(64)
             .visits(24)
@@ -886,6 +891,26 @@ mod tests {
                 trip * visits,
                 "{arch}: every iteration accounted exactly once"
             );
+        }
+    }
+
+    #[test]
+    fn three_visits_batch_the_last_one_after_a_single_steady_period() {
+        // Cold visit, one steady visit, and the key after the steady
+        // visit equals the key after the cold one: the third visit is
+        // batched. Detection that needs two equal periods (`b >= 2p`)
+        // confirms only at the last boundary, with nothing left to batch.
+        let l = LoopBuilder::new("ew")
+            .trip_count(64)
+            .visits(3)
+            .elementwise(2)
+            .build();
+        for arch in Arch::ALL {
+            let (on, off, trip, visits) = ffwd_pair(&l, &cfg(), arch);
+            assert_eq!(on, off, "{arch}: batched result must equal replay");
+            assert_eq!(on.ffwd.reason, FfwdReason::Fired, "{arch}");
+            assert_eq!(on.ffwd.iters_batched, trip, "{arch}: the third visit");
+            assert_eq!(on.ffwd.iters_replayed, (visits - 1) * trip, "{arch}");
         }
     }
 
@@ -939,8 +964,8 @@ mod tests {
         }
     }
 
-    /// A stateless fixed-latency model: its digest is a constant and
-    /// advancing its clock changes nothing.
+    /// A stateless fixed-latency model: its key is empty and advancing
+    /// its clock changes nothing.
     struct FixedLatency(MemStats);
 
     impl MemoryModel for FixedLatency {
@@ -952,9 +977,7 @@ mod tests {
             &self.0
         }
 
-        fn state_digest(&self, _base_cycle: u64) -> u64 {
-            0
-        }
+        fn state_key(&self, _base_cycle: u64, _out: &mut Vec<u64>) {}
 
         fn advance_clock(&mut self, _delta: u64) {}
     }
@@ -969,7 +992,8 @@ mod tests {
             .irregular(4, 65536)
             .build();
         assert_eq!(reason(&irr), FfwdReason::NoStride);
-        // One visit of four iterations: too short for two periods.
+        // One visit of four iterations: too short to arm the iteration
+        // detector, which needs more than two strides.
         let short = LoopBuilder::new("short")
             .trip_count(4)
             .elementwise(2)
